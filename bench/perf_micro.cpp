@@ -525,73 +525,16 @@ void BM_CampaignWarmSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignWarmSweep)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// --- Supervised execution: process-isolation overhead on the same spec ---
-//
-// BM_SupervisedColdSweep runs the identical 48-point sweep under the
-// campaign supervisor: points computed in forked worker subprocesses,
-// results streamed back as frames and checkpointed on arrival. Its delta
-// against BM_CampaignColdSweep is the price of crash tolerance (fork +
-// pipe + per-frame checkpoint vs in-process chunks); the warm variant
-// spawns no workers at all, so it bounds the monitor loop's fixed cost.
-// scripts/bench_baseline records the pair in BENCH_supervisor.json.
-
-void BM_SupervisedColdSweep(benchmark::State& state) {
-  const auto spec = bench_campaign_spec();
-  const auto store = bench_store_dir("supervised_cold");
-  std::size_t points = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(store);
-    state.ResumeTiming();
-    campaign::SupervisorOptions options;
-    options.store_dir = store;
-    campaign::Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
-    points = report.total;
-    benchmark::DoNotOptimize(report.computed);
-  }
-  std::filesystem::remove_all(store);
-  state.counters["points/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(points),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SupervisedColdSweep)
-    ->UseRealTime()  // workers are separate processes
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SupervisedWarmSweep(benchmark::State& state) {
-  const auto spec = bench_campaign_spec();
-  const auto store = bench_store_dir("supervised_warm");
-  std::filesystem::remove_all(store);
-  campaign::SupervisorOptions options;
-  options.store_dir = store;
-  campaign::Supervisor{spec, options}.run();  // prime the store
-  std::size_t points = 0;
-  for (auto _ : state) {
-    campaign::Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
-    points = report.total;
-    benchmark::DoNotOptimize(report.cached);
-  }
-  std::filesystem::remove_all(store);
-  state.counters["points/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(points),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SupervisedWarmSweep)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // --- Distributed execution: TCP coordinator throughput on the same spec ---
 //
 // BM_DistributedColdSweep runs the identical 48-point sweep through the
-// RemoteWorkerPool: local loopback workers register over TCP, pull
+// RemoteWorkerPool: forked loopback workers register over TCP, pull
 // work-stealing shards, and stream result frames back to the coordinator,
-// which checkpoints each one. Its delta against BM_SupervisedColdSweep is
-// the price of the socket transport (TCP framing + heartbeats vs pipes);
-// the warm variant settles from the store before any worker registers, so
-// it bounds the coordinator's fixed cost. scripts/bench_baseline records
-// the pair in BENCH_distributed.json.
+// which checkpoints each one. Its delta against BM_CampaignColdSweep is
+// the price of out-of-process execution (fork, registration, framing,
+// settle); the warm variant settles from the store before any worker
+// registers, so it bounds the coordinator's fixed cost.
+// scripts/bench_baseline records the pair in BENCH_distributed.json.
 
 void BM_DistributedColdSweep(benchmark::State& state) {
   const auto spec = bench_campaign_spec();

@@ -11,14 +11,8 @@
 # off and an unchanged rerun is served entirely from the warm cache. The
 # final $results_dir/*.{csv,txt} files are byte-identical either way.
 #
-# Pass --supervised to additionally route that campaign through the
-# supervisor: each figure computes in a forked worker subprocess, worker
-# crashes/hangs are retried and, past the retry budget, quarantined — so
-# one poisoned figure degrades the suite instead of killing it. Implies
-# --resume. The script fails (exit 3) if the run completes degraded.
-#
 # Pass --chaos-tests=DIR to run the chaos harness (`ctest -L chaos`) from
-# build tree DIR before the figure sweep — the supervision layer's own
+# build tree DIR before the figure sweep — the worker pool's own
 # fault-injection suite.
 #
 # Pass --asan-build=DIR (anywhere in the extra flags) to additionally run
@@ -34,22 +28,27 @@
 #
 # Pass --sampling to run the rare-event estimator pass: the sampling-smoke
 # acceptance tests (`ctest -L sampling-smoke`: trials=auto campaigns through
-# every estimator, checkpoint/crash/resume byte identity, supervised parity)
+# every estimator, checkpoint/crash/resume byte identity, distributed parity)
 # followed by the bench/perf_micro BM_Sampling* microbenches (sequential /
 # stratified / importance at a matched CI target, the BENCH_sampling.json
 # workload).
 #
 # Pass --distributed to run the distributed-execution pass: the
 # distributed-smoke acceptance tests (`ctest -L distributed-smoke`: TCP
-# worker registration, heartbeat eviction, network chaos, cross-executor
-# store bit-identity) followed by the bench/perf_micro BM_Distributed*
-# microbenches (coordinator throughput over loopback TCP workers, the
-# BENCH_distributed.json workload).
+# worker registration, heartbeat eviction, the point deadline, network
+# chaos, cross-executor store bit-identity) followed by the bench/perf_micro
+# BM_Distributed* microbenches (coordinator throughput over loopback TCP
+# workers, the BENCH_distributed.json workload). It also routes the figure
+# suite through `sos_campaign run all --distributed`: each figure computes
+# in a forked loopback worker, worker crashes/hangs are retried and, past
+# the retry budget, quarantined — so one poisoned figure degrades the suite
+# instead of killing it. Implies --resume. The script fails (exit 3) if the
+# run completes degraded.
 #
 # Pass --optimize to run the design-space optimizer pass: the
 # optimize-smoke acceptance tests (`ctest -L optimize-smoke`: frontier
 # search, campaign-routed winner validation with warm-cache reruns,
-# supervised quarantine) followed by the bench/perf_micro BM_Optimizer*
+# distributed quarantine) followed by the bench/perf_micro BM_Optimizer*
 # microbenches (batched design scoring throughput and cold-vs-warm
 # frontier runs, the BENCH_optimizer.json workload).
 #
@@ -69,7 +68,6 @@ shift $(( $# >= 2 ? 2 : $# )) || true
 asan_build=""
 chaos_tests=""
 resume=0
-supervised=0
 scale=0
 sampling=0
 distributed=0
@@ -81,10 +79,9 @@ for arg in "$@"; do
     --asan-build=*) asan_build="${arg#--asan-build=}" ;;
     --chaos-tests=*) chaos_tests="${arg#--chaos-tests=}" ;;
     --resume) resume=1 ;;
-    --supervised) supervised=1; resume=1 ;;
     --scale) scale=1 ;;
     --sampling) sampling=1 ;;
-    --distributed) distributed=1 ;;
+    --distributed) distributed=1; resume=1 ;;
     --optimize) optimize=1 ;;
     --fsck) fsck=1 ;;
     *) filtered+=("$arg") ;;
@@ -178,18 +175,18 @@ if [[ "$resume" == 1 ]]; then
     echo "error: $campaign_cli not found; build first" >&2
     exit 1
   fi
-  supervise_flags=()
-  if [[ "$supervised" == 1 ]]; then
-    supervise_flags=(--supervised)
-    echo "== figure suite via supervised campaign (store: $results_dir/.campaign)"
+  executor_flags=()
+  if [[ "$distributed" == 1 ]]; then
+    executor_flags=(--distributed)
+    echo "== figure suite via distributed campaign (store: $results_dir/.campaign)"
   else
     echo "== figure suite via campaign engine (store: $results_dir/.campaign)"
   fi
-  # A degraded (exit 3) supervised run still wrote every completed figure;
+  # A degraded (exit 3) distributed run still wrote every completed figure;
   # surface the failure after the summary instead of dying mid-script.
   campaign_rc=0
   "$campaign_cli" run all --store="$results_dir/.campaign" \
-    --results="$results_dir" ${supervise_flags+"${supervise_flags[@]}"} "$@" \
+    --results="$results_dir" ${executor_flags+"${executor_flags[@]}"} "$@" \
     || campaign_rc=$?
   if [[ "$campaign_rc" != 0 && "$campaign_rc" != 3 ]]; then
     exit "$campaign_rc"

@@ -1,14 +1,12 @@
-// AttemptLedger — the retry/backoff/quarantine bookkeeping every campaign
-// executor shares.
+// AttemptLedger — the retry/backoff/quarantine bookkeeping of the
+// out-of-process executor (RemoteWorkerPool).
 //
-// PR 5's Supervisor and the TCP RemoteWorkerPool make the same promise:
-// a worker fault charges exactly one point (the poison point that was in
-// flight), charged points back off exponentially with deterministic
-// jitter, and a point that exhausts 1 + max_retries attempts is
-// quarantined instead of looping forever. Keeping that arithmetic in one
-// tested class means the two executors cannot drift on charging
-// semantics — a schedule that quarantines under the Supervisor
-// quarantines identically under the pool.
+// The promise: a worker fault charges exactly one point (the poison point
+// that was in flight), charged points back off exponentially with
+// deterministic jitter, and a point that exhausts 1 + max_retries attempts
+// is quarantined instead of looping forever. The arithmetic and its
+// journal format (what a crashed coordinator restores under --resume) live
+// in this one tested class, apart from any transport.
 //
 // The ledger owns only the bookkeeping: failure counts, eligibility
 // gates, the jitter RNG and the retry tally. Queue management and the
@@ -24,7 +22,7 @@
 
 namespace sos::campaign {
 
-/// The charging knobs shared by SupervisorOptions and RemotePoolOptions.
+/// The charging knobs of RemotePoolOptions.
 struct RetryPolicy {
   /// Charged failures a point survives before quarantine. A point is
   /// attempted at most 1 + max_retries times.

@@ -1,9 +1,9 @@
 // Umbrella header for the campaign engine: declarative scenario specs,
 // figure registry, content-addressed result store, the checkpointing
-// runner, the crash-tolerant supervisor, the distributed TCP worker
-// pool and the store-routed design-space optimizer front end. See
-// docs/CAMPAIGNS.md for the spec format, store layout, supervision
-// semantics and the remote worker protocol; docs/OPTIMIZER.md for the
+// in-process runner, the out-of-process worker pool (forked loopback and
+// remote TCP workers) and the store-routed design-space optimizer front
+// end. See docs/CAMPAIGNS.md for the spec format, store layout, fault
+// handling and the remote worker protocol; docs/OPTIMIZER.md for the
 // optimizer.
 #pragma once
 
@@ -17,4 +17,3 @@
 #include "campaign/result_store.h"     // IWYU pragma: export
 #include "campaign/runner.h"           // IWYU pragma: export
 #include "campaign/scenario_spec.h"    // IWYU pragma: export
-#include "campaign/supervisor.h"       // IWYU pragma: export

@@ -1,6 +1,5 @@
-// ChaosConfig — seeded, test-only worker fault injection shared by every
-// campaign executor (the forked-worker Supervisor and the TCP
-// RemoteWorkerPool).
+// ChaosConfig — seeded, test-only worker fault injection for the
+// out-of-process executor (RemoteWorkerPool and its serve workers).
 //
 // Each probability selects one way for a worker to misbehave immediately
 // before computing a point. Draws are deterministic per (seed, point
@@ -9,14 +8,14 @@
 // interleaves work, and every chaos test pins a reproducible scenario.
 //
 // Two fault families:
-//   * Process faults (sigkill/hang/bad_exit/truncate) — PR 5's originals.
-//     They apply to any worker with a process of its own: Supervisor
-//     children and remote serve workers alike.
+//   * Process faults (sigkill/hang/bad_exit/truncate) — the worker process
+//     itself dies, stops, exits with a bogus code, or lies with a torn
+//     result frame. They apply to forked loopback and remote serve workers
+//     alike.
 //   * Network faults (net_drop/net_partition/net_torn/net_duplicate) —
 //     the failure modes the SOS paper studies in its overlay, applied to
 //     the executor's own transport: link loss, partitions and duplicate
-//     delivery. Only the TCP executor has a network, so the Supervisor's
-//     pipe workers treat them as inert.
+//     delivery.
 //   * Coordinator faults (coordinator_kill/object_bitflip) — PR 10's
 //     survivability drills, acted on by the *coordinator* when a result
 //     arrives: SIGKILL itself mid-run (crash-recovery under --resume), or
@@ -36,13 +35,13 @@ inline constexpr int kChaosBadExitCode = 41;
 struct ChaosConfig {
   std::uint64_t seed = 0x5055ULL;
 
-  // --- Process faults (any executor). ---
+  // --- Process faults (any serve worker). ---
   double sigkill = 0.0;   // raise(SIGKILL): instant worker death
-  double hang = 0.0;      // raise(SIGSTOP): silent hang (deadline/heartbeat)
+  double hang = 0.0;      // raise(SIGSTOP): silent hang (heartbeat/deadline)
   double bad_exit = 0.0;  // _exit(kChaosBadExitCode) without computing
   double truncate = 0.0;  // write half a result frame, then exit "cleanly"
 
-  // --- Network faults (TCP executor; inert over pipes). ---
+  // --- Network faults (the worker's TCP connection). ---
   double net_drop = 0.0;       // abruptly close the connection, reconnect
   double net_partition = 0.0;  // heartbeat blackhole for net_partition_s,
                                // then deliver late (possibly duplicated)

@@ -116,13 +116,13 @@ OptimizeReport OptimizeRunner::assemble(optimize::SearchResult search,
     ScenarioSpec validation = winner_spec(spec_, winner);
     status.campaign = validation.name;
 
-    if (validate && options_.supervised) {
-      SupervisorOptions supervised = options_.supervisor;
-      supervised.store_dir = options_.store_dir;
-      Supervisor supervisor(validation, supervised);
-      const CampaignReport campaign = supervisor.run();
+    if (validate && options_.distributed) {
+      RemotePoolOptions distributed = *options_.distributed;
+      distributed.store_dir = options_.store_dir;
+      RemoteWorkerPool pool(validation, distributed);
+      const CampaignReport campaign = pool.run();
       status.attempts = 1 + campaign.retried;
-      finish_winner(status, supervisor.runner(), campaign, report);
+      finish_winner(status, pool.runner(), campaign, report);
       continue;
     }
 

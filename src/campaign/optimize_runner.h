@@ -8,15 +8,16 @@
 // attacker's worst-case split, all sharing one store directory: winner
 // objects are content-addressed by (result scope + point key), so a
 // re-run of the same optimization is fully warm, a kill -9 mid-validation
-// loses at most the in-flight winner, and `--supervised` execution retries
+// loses at most the in-flight winner, and `--distributed` execution retries
 // and quarantines poisoned winners exactly like any other campaign.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/remote_pool.h"
 #include "campaign/runner.h"
-#include "campaign/supervisor.h"
 #include "optimize/optimize.h"
 
 namespace sos::campaign {
@@ -29,13 +30,11 @@ struct OptimizeOptions {
   /// campaign).
   bool search_only = false;
 
-  /// Run each winner's validation campaign under the Supervisor (forked
-  /// workers, retry/backoff/quarantine) instead of in-process.
-  bool supervised = false;
-  /// Supervised-mode knobs; store_dir is taken from this struct's
-  /// store_dir, everything else (retry policy, chaos, deadline) applies
-  /// verbatim.
-  SupervisorOptions supervisor;
+  /// When set, each winner's validation campaign runs on a
+  /// RemoteWorkerPool (forked loopback workers, deadline/retry/backoff/
+  /// quarantine) instead of in-process. store_dir is taken from this
+  /// struct's store_dir; everything else applies verbatim.
+  std::optional<RemotePoolOptions> distributed;
 
   common::ThreadPool* pool = nullptr;  // search + in-process validation
 };
@@ -51,7 +50,7 @@ struct WinnerStatus {
   double p_mc = 0.0;
   double ci_lo = 0.0;
   double ci_hi = 0.0;
-  int attempts = 0;  // supervised mode: 1 + charged retries
+  int attempts = 0;  // distributed mode: 1 + charged retries
 };
 
 struct OptimizeReport {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -94,6 +95,10 @@ void RemotePoolOptions::validate() const {
         "RemotePoolOptions: bad registration_timeout_s '" +
         common::format_double(registration_timeout_s, 4) +
         "' (accepted: > 0 seconds)");
+  if (!(point_deadline_s > 0.0))
+    throw std::invalid_argument("RemotePoolOptions: bad point_deadline_s '" +
+                                common::format_double(point_deadline_s, 4) +
+                                "' (accepted: > 0 seconds)");
   retry.validate();
   chaos.validate();
 }
@@ -112,7 +117,6 @@ CampaignReport RemoteWorkerPool::run() {
   const common::MacKey base_key = load_base_key(options_.key_file);
 
   const ResultStore& store = runner_.store();
-  store.write_manifest(runner_.manifest_text());
 
   const int total = static_cast<int>(runner_.points().size());
 
@@ -184,6 +188,7 @@ CampaignReport RemoteWorkerPool::run() {
     common::MacKey session_key;    // derived from the HELLO challenge
     std::vector<int> outstanding;  // assigned, undelivered, in compute order
     Clock::time_point last_heard;
+    Clock::time_point deadline;  // progress deadline while outstanding
     bool dead = false;
   };
   std::vector<Session> sessions;
@@ -214,6 +219,7 @@ CampaignReport RemoteWorkerPool::run() {
   const auto heartbeat_budget = to_duration(options_.heartbeat_timeout_s);
   const auto beat_every = to_duration(options_.heartbeat_interval_s);
   const auto registration_budget = to_duration(options_.registration_timeout_s);
+  const auto point_budget = to_duration(options_.point_deadline_s);
 
   // Inner (unsealed) messages; every send seals under the session's key.
   const std::string welcome_inner = encode_welcome(runner_.spec().canonical());
@@ -270,8 +276,9 @@ CampaignReport RemoteWorkerPool::run() {
     }
   };
 
-  // SIGKILLs the local child behind a silence-evicted session (a SIGSTOP
-  // hang never recovers on its own); the reap/respawn pass replaces it.
+  // SIGKILLs the local child behind a silence-evicted or deadline-closed
+  // session (a SIGSTOP hang or a stuck point never recovers on its own);
+  // the reap/respawn pass replaces it.
   const auto kill_local_child = [&](std::uint64_t pid) {
     for (auto& child : children)
       if (static_cast<std::uint64_t>(child.pid()) == pid) {
@@ -292,6 +299,7 @@ CampaignReport RemoteWorkerPool::run() {
     const auto it = std::find(session.outstanding.begin(),
                               session.outstanding.end(), result->index);
     if (it != session.outstanding.end()) session.outstanding.erase(it);
+    session.deadline = Clock::now() + point_budget;
     if (done[slot]) return true;  // duplicate delivery: already durable
     // Coordinator-side chaos shares the worker's draw chain (same
     // (seed, point, attempt) stream), keyed on the point's current charge
@@ -433,13 +441,17 @@ CampaignReport RemoteWorkerPool::run() {
     }
     for (const Assignment& assignment : shard)
       session.outstanding.push_back(assignment.index);
+    session.deadline = Clock::now() + point_budget;
   };
 
   // A store that is already settled needs no fleet at all: spawning
-  // workers just to shut them down would put a 2s grace period on every
-  // warm rerun.
+  // workers just to shut them down would add a fork, a handshake and a
+  // reap to every warm rerun.
   if (!settled())
     for (int i = 0; i < options_.local_workers; ++i) spawn_child();
+  // After the fork: the children start up while the manifest syncs. No
+  // object is stored before the poll loop, so the manifest still comes first.
+  store.write_manifest(runner_.manifest_text());
 
   auto next_beat = Clock::now() + beat_every;
   auto fleet_deadline = Clock::now() + registration_budget;
@@ -509,9 +521,12 @@ CampaignReport RemoteWorkerPool::run() {
     }
 
     auto wake_at = next_beat;
-    for (const auto& session : sessions)
-      if (!session.dead && session.state != SessionState::kSuspended)
-        wake_at = std::min(wake_at, session.last_heard + heartbeat_budget);
+    for (const auto& session : sessions) {
+      if (session.dead || session.state == SessionState::kSuspended) continue;
+      wake_at = std::min(wake_at, session.last_heard + heartbeat_budget);
+      if (!session.outstanding.empty())
+        wake_at = std::min(wake_at, session.deadline);
+    }
     for (const int index : queue)
       wake_at = std::min(wake_at, ledger.eligible_at(index));
     const auto poll_now = Clock::now();
@@ -577,22 +592,31 @@ CampaignReport RemoteWorkerPool::run() {
       }
     }
 
-    // --- Heartbeat silence: suspend, charge, reassign; SIGKILL the local
-    // child behind it (an intentional SIGSTOP hang never comes back). ---
+    // --- Heartbeat silence: suspend, charge, reassign. A session that
+    // heartbeats but makes no progress past its point deadline is closed
+    // and charged the same way. Either way the local child behind it is
+    // SIGKILLed (a SIGSTOP hang or a stuck point never comes back). ---
     const auto silence_now = Clock::now();
     for (auto& session : sessions) {
       if (session.dead || session.state == SessionState::kSuspended) continue;
-      if (silence_now - session.last_heard < heartbeat_budget) continue;
+      const bool silent = silence_now - session.last_heard >= heartbeat_budget;
+      const bool stuck =
+          !session.outstanding.empty() && silence_now >= session.deadline;
+      if (!silent && !stuck) continue;
       if (session.state == SessionState::kRegistering) {
         session.sock.close();  // never said HELLO: nothing to charge
         session.dead = true;
         continue;
       }
       const std::uint64_t pid = session.pid;
-      evict(session,
-            "heartbeat silence beyond " +
-                common::format_double(options_.heartbeat_timeout_s, 2) + "s",
-            /*suspend=*/true);
+      const std::string reason =
+          silent ? "heartbeat silence beyond " +
+                       common::format_double(options_.heartbeat_timeout_s, 2) +
+                       "s"
+                 : "deadline " +
+                       common::format_double(options_.point_deadline_s, 2) +
+                       "s exceeded";
+      evict(session, reason, /*suspend=*/silent);
       kill_local_child(pid);
     }
 
@@ -634,6 +658,14 @@ CampaignReport RemoteWorkerPool::run() {
     draining.push_back(std::move(session.sock));
   }
   const auto grace_deadline = Clock::now() + std::chrono::seconds(2);
+
+  // The store is final (late frames are drained, never stored), so the
+  // report is read while the workers act on their goodbye.
+  CampaignReport report = runner_.status();
+  report.cached = cached;
+  report.computed = computed;
+  report.retried = ledger.retried();
+
   while (!draining.empty() && Clock::now() < grace_deadline) {
     // A worker that noticed its old connection die may be reconnecting at
     // this very moment; its fresh socket deserves the goodbye too. No
@@ -664,17 +696,26 @@ CampaignReport RemoteWorkerPool::run() {
                    draining.end());
   }
   draining.clear();
-  for (auto& child : children) {
-    while (!child.poll_exit() && Clock::now() < grace_deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    child.kill();  // no-op if already reaped
-    child.wait_exit();
+  // Local children exit on their own after the goodbye; each one's pipe
+  // hangs up when it does, and that is when it is reaped. Whatever is still
+  // running at the grace deadline is SIGKILLed by ~Subprocess.
+  for (;;) {
+    std::vector<::pollfd> pipes;
+    std::vector<common::Subprocess*> running;
+    for (auto& child : children) {
+      if (child.poll_exit()) continue;
+      pipes.push_back(::pollfd{child.read_fd(), POLLIN, 0});
+      running.push_back(&child);
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        grace_deadline - Clock::now());
+    if (running.empty() || left.count() <= 0) break;
+    (void)::poll(pipes.data(), pipes.size(),
+                 static_cast<int>(left.count()) + 1);
+    for (std::size_t i = 0; i < running.size(); ++i)
+      if (pipes[i].revents & (POLLHUP | POLLERR)) running[i]->wait_exit();
   }
-
-  CampaignReport report = runner_.status();
-  report.cached = cached;
-  report.computed = computed;
-  report.retried = ledger.retried();
+  children.clear();
   return report;
 }
 
@@ -773,13 +814,18 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
   };
 
   // Heartbeats ride a dedicated thread so a long point computation (or a
-  // partition sleep) cannot read as death — unless chaos wants it to.
-  std::atomic<bool> stop{false};
+  // partition sleep) cannot read as death — unless chaos wants it to. The
+  // thread sleeps on a condition variable, so shutdown wakes it at once
+  // instead of waiting out the interval.
+  std::mutex stop_mutex;
+  std::condition_variable stop_signal;
+  bool stopping = false;
   std::thread beater([&]() {
     const auto beat_every = to_duration(config.heartbeat_interval_s);
     const std::string beat = encode_heartbeat();
-    while (!stop.load()) {
-      std::this_thread::sleep_for(beat_every);
+    std::unique_lock<std::mutex> stop_lock(stop_mutex);
+    while (!stop_signal.wait_for(stop_lock, beat_every,
+                                 [&]() { return stopping; })) {
       if (steady_ns(Clock::now()) < link.blackhole_until_ns.load()) continue;
       std::lock_guard<std::mutex> lock(link.write_mutex);
       if (link.sock.valid())  // EOF comes later; session_key guarded by lock
@@ -1005,7 +1051,11 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
     if (exit_code < 0 && frames.corrupt()) need_reconnect = true;
   }
 
-  stop.store(true);
+  {
+    std::lock_guard<std::mutex> stop_lock(stop_mutex);
+    stopping = true;
+  }
+  stop_signal.notify_one();
   beater.join();
   drop_connection();
   if (!scratch.empty()) {

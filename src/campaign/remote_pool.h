@@ -1,13 +1,12 @@
-// RemoteWorkerPool — distributed campaign execution over TCP workers.
+// RemoteWorkerPool — the campaign engine's out-of-process executor.
 //
-// PR 5's Supervisor tolerates worker *process* faults but still assumes
-// every worker is a forked child sharing its pipe. This executor drops
-// that assumption: workers are independent `sos_campaign serve` processes
-// that connect to the coordinator over TCP (common::Socket/Listener),
-// register with a HELLO/WELCOME handshake, exchange heartbeats, pull
-// work-stealing shard assignments, and stream finished point frames back.
-// The coordinator durably checkpoints each frame into the same
-// content-addressed ResultStore every other executor uses.
+// Workers are `sos_campaign serve` processes that talk to the coordinator
+// over TCP (common::Socket/Listener): forked loopback children by default,
+// plus any external serve processes that connect. They register with a
+// HELLO/WELCOME handshake, exchange heartbeats, pull work-stealing shard
+// assignments, and stream finished point frames back. The coordinator
+// durably checkpoints each frame into the same content-addressed
+// ResultStore the in-process CampaignRunner uses.
 //
 // Execution model:
 //
@@ -22,14 +21,16 @@
 //     assignment is handed the next `points_per_assign` eligible pending
 //     points. Workers compute IN ORDER via
 //     CampaignRunner::compute_point_bytes — the same unit of work as the
-//     in-process and forked executors — which is what makes the store
-//     byte-identical across all three.
-//   * Liveness is symmetric heartbeats. A session silent past
-//     `heartbeat_timeout_s` is evicted: its first unfinished point (the
-//     poison point, since workers compute in order) is charged to the
-//     shared AttemptLedger, the innocent remainder requeues free, and a
-//     point charged past max_retries quarantines — exactly the
-//     Supervisor's semantics, enforced by sharing the ledger class.
+//     in-process runner — which is what makes the store byte-identical
+//     across executors.
+//   * Liveness is symmetric heartbeats plus a per-point progress deadline.
+//     A session silent past `heartbeat_timeout_s` is evicted; a session
+//     that keeps heartbeating but delivers no RESULT for
+//     `point_deadline_s` (a worker stuck inside compute_point_bytes, whose
+//     heartbeat thread never stops) is closed. Either way its first
+//     unfinished point (the poison point, since workers compute in order)
+//     is charged to the AttemptLedger, the innocent remainder requeues
+//     free, and a point charged past max_retries quarantines.
 //   * Partition tolerance: an evicted worker may reconnect and resume
 //     (fresh HELLO, fresh assignments). A result frame that arrives late
 //     — after eviction, even after the point was recomputed elsewhere —
@@ -38,7 +39,8 @@
 //     content-addressed and put() is idempotent.
 //   * Local children that exit (chaos SIGKILL, bad exit) are reaped and
 //     respawned while unfinished work remains; a child whose session is
-//     evicted for heartbeat silence (SIGSTOP hang) is SIGKILLed first.
+//     evicted for silence or closed at its deadline (SIGSTOP hang, stuck
+//     compute) is SIGKILLed first.
 //
 //   * Transport is authenticated (remote_protocol v2): every frame both
 //     directions is sealed under a SipHash-2-4 MAC. The handshake runs
@@ -97,6 +99,12 @@ struct RemotePoolOptions {
   double heartbeat_interval_s = 0.05;
   double heartbeat_timeout_s = 2.0;
 
+  /// Per-point progress deadline: restarted on every ASSIGN and RESULT, so
+  /// it bounds single-point compute time, not whole-shard runtime. A
+  /// session with work outstanding past it is closed (its local child
+  /// SIGKILLed) and its poison point charged, however well it heartbeats.
+  double point_deadline_s = 300.0;
+
   /// How long run() tolerates an empty fleet (nobody registered) while
   /// work remains before throwing FleetUnreachableError.
   double registration_timeout_s = 10.0;
@@ -120,20 +128,22 @@ struct RemotePoolOptions {
   /// once the campaign settles.
   bool resume = false;
 
-  /// Retry/backoff/quarantine charging — the same AttemptLedger the
-  /// Supervisor uses, so the two executors cannot drift.
+  /// Retry/backoff/quarantine charging (see AttemptLedger).
   RetryPolicy retry;
 
   /// Test-only fault injection, forwarded to the forked loopback workers
   /// (external serve workers configure their own chaos via CLI flags).
   ChaosConfig chaos;
 
-  /// Same contract as SupervisorOptions::checkpoint_hook.
+  /// Same contract as CampaignOptions::checkpoint_hook: invoked after each
+  /// newly computed point is durable, with the running count. A throwing
+  /// hook aborts run() (local children are killed and reaped); every
+  /// checkpoint written so far survives.
   std::function<void(int completed)> checkpoint_hook;
 
   /// Throws std::invalid_argument ("(accepted:)" style) on negative
-  /// worker counts, non-positive shard size/timeouts, an invalid retry
-  /// policy, or an invalid chaos config.
+  /// worker counts, non-positive shard size/timeouts/deadline, an invalid
+  /// retry policy, or an invalid chaos config.
   void validate() const;
 };
 
@@ -151,10 +161,13 @@ class RemoteWorkerPool {
 
   /// Drives the campaign to a settled report (every point cached,
   /// computed, or quarantined) across however many workers register.
-  /// Worker faults — crashes, hangs, dropped connections, partitions,
-  /// torn frames, duplicate delivery — are charged/retried/quarantined,
-  /// never fatal. Throws FleetUnreachableError if the fleet never shows
-  /// up (or vanishes) for registration_timeout_s.
+  /// Previously quarantined points count as pending and get a fresh set of
+  /// attempts. Worker faults — crashes, hangs, stuck points, dropped
+  /// connections, partitions, torn frames, duplicate delivery — are
+  /// charged/retried/quarantined, never fatal; report.retried counts
+  /// charged retries and degraded() flags quarantine. Throws
+  /// FleetUnreachableError if the fleet never shows up (or vanishes) for
+  /// registration_timeout_s.
   CampaignReport run();
 
  private:
@@ -185,8 +198,8 @@ struct RemoteWorkerConfig {
   /// with kExitFleetUnreachable.
   int max_reconnects = 8;
 
-  /// This worker's fault schedule. Draws key on (seed, point, attempt)
-  /// exactly as under the Supervisor.
+  /// This worker's fault schedule. Draws key on (seed, point, attempt),
+  /// the attempt arriving with each assignment.
   ChaosConfig chaos;
 
   /// Pre-shared key file (must match the coordinator's); empty selects the

@@ -1,7 +1,7 @@
 // The coordinator <-> remote worker wire protocol (v2, authenticated).
 //
-// Transport: TCP, carrying the same length-prefixed frames as the
-// Supervisor's pipes (common/proc.h codec, decoded by FrameBuffer). Since
+// Transport: TCP, carrying length-prefixed frames (common/proc.h codec,
+// decoded by FrameBuffer). Since
 // v2 every frame payload is *sealed*: an 8-byte little-endian SipHash-2-4
 // MAC followed by the inner message, where the MAC covers the inner
 // message's length (u32le) and bytes —
@@ -42,7 +42,7 @@
 //     not share, but the reject text tells the operator which side to fix).
 //
 // Assignments carry the attempt number per point so worker-side chaos
-// draws replay PR 5's (seed, point, attempt) schedules exactly.
+// draws replay their (seed, point, attempt) schedules exactly.
 //
 // Every parse_* returns nullopt on a malformed inner message (wrong tag,
 // short body, inconsistent count); open_frame returns nullopt on a bad MAC.

@@ -10,7 +10,7 @@
 //                               in a validated container (header with the
 //                               payload length + checksum, end sentinel)
 //   <dir>/quarantine/<digest>   a typed PointFailure record for a point the
-//                               supervisor gave up on (see below)
+//                               worker pool gave up on (see below)
 //   <dir>/quarantine/<digest>.corrupt
 //                               the verbatim bytes of an object that failed
 //                               container validation (truncated, checksum
@@ -33,7 +33,7 @@
 // found. A fresh put() clears the corrupt marker — a recomputed result
 // heals the store.
 //
-// Quarantine records are how a supervised campaign degrades instead of
+// Quarantine records are how a distributed campaign degrades instead of
 // dying: a point that kept crashing its worker is recorded as a typed
 // PointFailure, never silently dropped. An object, once present, always
 // wins over a stale quarantine record.
@@ -51,14 +51,14 @@
 
 namespace sos::campaign {
 
-/// The typed record of a point the supervisor retried to exhaustion and
+/// The typed record of a point the worker pool retried to exhaustion and
 /// quarantined. Stored under <dir>/quarantine/<digest> so degraded
 /// campaigns keep an auditable trail instead of silently dropping points.
 struct PointFailure {
   int index = 0;        // point index within the campaign expansion
   std::string key;      // the point's canonical key
   int attempts = 0;     // total attempts made (1 + retries)
-  std::string reason;   // last failure, e.g. "signal 9 (SIGKILL)",
+  std::string reason;   // last failure, e.g. "connection lost",
                         // "deadline 0.25s exceeded", "truncated result frame"
 
   /// Round-trippable rendering ("sos-point-failure v1" + key=value lines).

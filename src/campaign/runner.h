@@ -70,14 +70,14 @@ struct CampaignReport {
   int total = 0;
   int cached = 0;    // points served from the store without recomputation
   int computed = 0;  // points computed and checkpointed by this run
-  int retried = 0;   // supervised runs: point attempts beyond the first
+  int retried = 0;   // distributed runs: point attempts beyond the first
   int quarantined = 0;  // points recorded as PointFailure, not computed
   std::vector<PointStatus> points;
   std::vector<PointFailure> failures;  // one per quarantined point
 
   bool complete() const noexcept { return cached + computed == total; }
   /// Every point is either done or formally quarantined — the terminal
-  /// state a supervised run guarantees (degraded mode when quarantined>0).
+  /// state a distributed run guarantees (degraded mode when quarantined>0).
   bool settled() const noexcept {
     return cached + computed + quarantined == total;
   }
@@ -108,9 +108,9 @@ class CampaignRunner {
   CampaignReport run();
 
   /// Computes one point's result bytes in-process, with no store
-  /// interaction — the unit of work a supervised worker subprocess
-  /// executes. Bit-identical to what run() would checkpoint for the same
-  /// point: figures mode invokes the registered generator; sweep mode is
+  /// interaction — the unit of work a pool worker process executes.
+  /// Bit-identical to what run() would checkpoint for the same point:
+  /// figures mode invokes the registered generator; sweep mode is
   /// exactly the checkpoint_interval=1 chunk path (analytic column +
   /// optional SweepRunner Monte Carlo overlay with the trial-indexed
   /// deterministic reduction).
@@ -144,7 +144,7 @@ class CampaignRunner {
   /// One adaptive point: builds the spec's StoppingRule and runs the
   /// configured sim::sampling estimator (which parallelizes its trials over
   /// `pool` internally). Deterministic in (spec, point) alone, so cached,
-  /// resumed, and supervised executions agree byte-for-byte.
+  /// resumed, and distributed executions agree byte-for-byte.
   sim::MonteCarloResult run_auto_point(const CampaignPoint& point,
                                        common::ThreadPool& pool) const;
   double sweep_model_value(const CampaignPoint& point) const;

@@ -12,18 +12,18 @@
 //       overrides --n --sos --filters --pb --mc-trials --mc-walks --seed.
 //       --abort-after=N is a crash-test hook: the process SIGKILLs itself
 //       after N checkpoints, so resume behavior can be exercised end to end.
-//       --supervised executes the points in forked worker subprocesses
-//       under the campaign supervisor: worker crashes/hangs are retried
-//       with backoff and, past --max-retries, quarantined so the campaign
-//       completes degraded instead of dying. Chaos flags (--chaos-*)
-//       inject worker faults for testing the supervision itself.
-//       --distributed executes the points over TCP serve workers (forked
-//       loopback ones by default, plus any external `sos_campaign serve`
-//       processes that connect): heartbeat liveness, partition-tolerant
-//       charging, byte-identical store. The transport is authenticated
-//       (--key-file on both sides; default key for loopback), and the
-//       coordinator journals its charge state so a killed coordinator
-//       restarted with --resume (same --listen-port) recovers the run.
+//       --distributed executes the points out of process, over TCP serve
+//       workers (--local-workers forked loopback ones, plus any external
+//       `sos_campaign serve` processes that connect): heartbeat liveness,
+//       a per-point --point-deadline, partition-tolerant charging,
+//       byte-identical store. Worker crashes/hangs are retried with backoff
+//       and, past --max-retries, quarantined so the campaign completes
+//       degraded instead of dying. Chaos flags (--chaos-*) inject worker
+//       faults for testing the fault handling itself. The transport is
+//       authenticated (--key-file on both sides; default key for loopback),
+//       and the coordinator journals its charge state so a killed
+//       coordinator restarted with --resume (same --listen-port) recovers
+//       the run.
 //   sos_campaign serve --connect=HOST:PORT
 //       One remote worker: registers with a --distributed coordinator,
 //       computes assigned points, streams results, heartbeats.
@@ -38,8 +38,8 @@
 //       through the shared result store, so reruns are warm and a killed
 //       validation resumes. --search-only skips validation (winners stay
 //       pending, exit 2); --status classifies winners against the store
-//       without computing; --supervised validates in forked workers with
-//       retry/quarantine (chaos flags apply).
+//       without computing; --distributed validates in forked loopback
+//       workers with deadline/retry/quarantine (chaos flags apply).
 //   sos_campaign status <store-dir>
 //       Completed/pending/quarantined point counts from the manifest +
 //       object files + quarantine records.
@@ -83,8 +83,8 @@ int usage(std::FILE* out) {
                "[--abort-after=N] [--n=..] [--sos=..]\n"
                "                    [--filters=..] [--pb=..] [--mc-trials=..] "
                "[--mc-walks=..] [--seed=..]\n"
-               "                    [--supervised] [--max-workers=N] "
-               "[--points-per-worker=N]\n"
+               "                    [--distributed] [--local-workers=N] "
+               "[--points-per-assign=N]\n"
                "                    [--point-deadline=SECONDS] "
                "[--max-retries=N]\n"
                "                    [--backoff-base=SECONDS] "
@@ -93,9 +93,7 @@ int usage(std::FILE* out) {
                "[--chaos-bad-exit=P]\n"
                "                    [--chaos-truncate=P] [--chaos-seed=N] "
                "[--chaos-max-fires=N]\n"
-               "                    [--distributed] [--local-workers=N] "
-               "[--listen-port=PORT]\n"
-               "                    [--points-per-assign=N] "
+               "                    [--listen-port=PORT] "
                "[--heartbeat-interval=SECONDS]\n"
                "                    [--heartbeat-timeout=SECONDS] "
                "[--registration-timeout=SECONDS]\n"
@@ -116,10 +114,11 @@ int usage(std::FILE* out) {
                "[--store=DIR] [--results=DIR]\n"
                "                    [--search-only] [--status] "
                "[--validate-trials=N] [--seed=N]\n"
-               "                    [--supervised] [--max-workers=N] "
-               "[--point-deadline=SECONDS]\n"
-               "                    [--max-retries=N] [--backoff-*] "
-               "[--chaos-*]\n"
+               "                    [--distributed] [--local-workers=N] "
+               "[--points-per-assign=N]\n"
+               "                    [--point-deadline=SECONDS] "
+               "[--max-retries=N] [--backoff-*]\n"
+               "                    [--chaos-*]\n"
                "       sos_campaign status <store-dir>\n"
                "       sos_campaign clean <store-dir>\n"
                "\n"
@@ -229,18 +228,7 @@ int finish_run(const campaign::CampaignRunner& runner,
   return 0;
 }
 
-/// The --max-retries/--backoff-* flags shared by --supervised and
-/// --distributed runs.
-void apply_retry_flags(const common::Args& args,
-                       campaign::RetryPolicy& retry) {
-  retry.max_retries =
-      static_cast<int>(args.get_int("max-retries", retry.max_retries));
-  retry.backoff_base_s = args.get_double("backoff-base", retry.backoff_base_s);
-  retry.backoff_max_s = args.get_double("backoff-max", retry.backoff_max_s);
-}
-
-/// The --chaos-* fault-injection flags shared by --supervised,
-/// --distributed and serve (the network family is inert over pipes).
+/// The --chaos-* fault-injection flags shared by --distributed and serve.
 void apply_chaos_flags(const common::Args& args,
                        campaign::ChaosConfig& chaos) {
   chaos.seed = static_cast<std::uint64_t>(
@@ -261,27 +249,22 @@ void apply_chaos_flags(const common::Args& args,
       args.get_int("chaos-max-fires", chaos.max_fires_per_point));
 }
 
-int run_supervised(const campaign::ScenarioSpec& spec,
-                   const common::Args& args, const std::string& store_dir,
-                   const std::string& results_dir) {
-  campaign::SupervisorOptions options;
-  options.store_dir = store_dir;
-  options.max_workers =
-      static_cast<int>(args.get_int("max-workers", options.max_workers));
-  options.points_per_worker = static_cast<int>(
-      args.get_int("points-per-worker", options.points_per_worker));
+/// The executor flags `run --distributed` and `optimize --distributed`
+/// share: fleet size, shard size, the per-point deadline, retry and chaos.
+void apply_pool_flags(const common::Args& args,
+                      campaign::RemotePoolOptions& options) {
+  options.local_workers =
+      static_cast<int>(args.get_int("local-workers", options.local_workers));
+  options.points_per_assign = static_cast<int>(
+      args.get_int("points-per-assign", options.points_per_assign));
   options.point_deadline_s =
       args.get_double("point-deadline", options.point_deadline_s);
-  apply_retry_flags(args, options.retry);
+  campaign::RetryPolicy& retry = options.retry;
+  retry.max_retries =
+      static_cast<int>(args.get_int("max-retries", retry.max_retries));
+  retry.backoff_base_s = args.get_double("backoff-base", retry.backoff_base_s);
+  retry.backoff_max_s = args.get_double("backoff-max", retry.backoff_max_s);
   apply_chaos_flags(args, options.chaos);
-  if (const int rc = reject_unused(args); rc != 0) return rc;
-
-  campaign::Supervisor supervisor{spec, options};
-  std::printf("campaign %s: %zu points, store %s (supervised, %d workers)\n",
-              spec.name.c_str(), supervisor.runner().points().size(),
-              store_dir.c_str(), options.max_workers);
-  const auto report = supervisor.run();
-  return finish_run(supervisor.runner(), report, results_dir);
 }
 
 int run_distributed(const campaign::ScenarioSpec& spec,
@@ -289,10 +272,7 @@ int run_distributed(const campaign::ScenarioSpec& spec,
                     const std::string& results_dir) {
   campaign::RemotePoolOptions options;
   options.store_dir = store_dir;
-  options.local_workers =
-      static_cast<int>(args.get_int("local-workers", options.local_workers));
-  options.points_per_assign = static_cast<int>(
-      args.get_int("points-per-assign", options.points_per_assign));
+  apply_pool_flags(args, options);
   options.heartbeat_interval_s =
       args.get_double("heartbeat-interval", options.heartbeat_interval_s);
   options.heartbeat_timeout_s =
@@ -303,8 +283,6 @@ int run_distributed(const campaign::ScenarioSpec& spec,
       args.get_int("listen-port", options.listen_port));
   options.key_file = args.get_string("key-file", "");
   options.resume = args.get_bool("resume", false);
-  apply_retry_flags(args, options.retry);
-  apply_chaos_flags(args, options.chaos);
   if (const int rc = reject_unused(args); rc != 0) return rc;
 
   campaign::RemoteWorkerPool pool{spec, options};
@@ -364,13 +342,6 @@ int cmd_run(const common::Args& args) {
   const std::string store_dir = args.get_string(
       "store", (std::filesystem::path("campaign-store") / spec.name).string());
   const std::string results_dir = args.get_string("results", "results");
-  if (args.get_bool("supervised", false) && args.get_bool("distributed", false)) {
-    std::fprintf(stderr,
-                 "--supervised and --distributed are mutually exclusive\n");
-    return 2;
-  }
-  if (args.get_bool("supervised", false))
-    return run_supervised(spec, args, store_dir, results_dir);
   if (args.get_bool("distributed", false))
     return run_distributed(spec, args, store_dir, results_dir);
 
@@ -432,15 +403,10 @@ int cmd_optimize(const common::Args& args) {
       "store", (std::filesystem::path("campaign-store") / spec.name).string());
   const std::string results_dir = args.get_string("results", "results");
   options.search_only = args.get_bool("search-only", false);
-  options.supervised = args.get_bool("supervised", false);
-  options.supervisor.max_workers = static_cast<int>(
-      args.get_int("max-workers", options.supervisor.max_workers));
-  options.supervisor.points_per_worker = static_cast<int>(args.get_int(
-      "points-per-worker", options.supervisor.points_per_worker));
-  options.supervisor.point_deadline_s = args.get_double(
-      "point-deadline", options.supervisor.point_deadline_s);
-  apply_retry_flags(args, options.supervisor.retry);
-  apply_chaos_flags(args, options.supervisor.chaos);
+  if (args.get_bool("distributed", false)) {
+    options.distributed.emplace();
+    apply_pool_flags(args, *options.distributed);
+  }
   const bool status_only = args.get_bool("status", false);
   if (const int rc = reject_unused(args); rc != 0) return rc;
 
@@ -450,8 +416,15 @@ int cmd_optimize(const common::Args& args) {
       spec.name.c_str(), spec.space.size(),
       optimize::OptimizeSpec::searcher_label(spec.resolved_searcher()),
       options.store_dir.c_str(),
-      options.supervised ? ", supervised validation" : "");
-  const auto report = status_only ? runner.status() : runner.run();
+      options.distributed ? ", distributed validation" : "");
+  campaign::OptimizeReport report;
+  try {
+    report = status_only ? runner.status() : runner.run();
+  } catch (const campaign::FleetUnreachableError& error) {
+    std::fprintf(stderr, "sos_campaign: fleet unreachable: %s\n",
+                 error.what());
+    return campaign::kExitFleetUnreachable;
+  }
 
   std::printf("  frontier: %zu winner(s) from %lld evaluated",
               report.search.frontier.size(), report.search.stats.evaluated);

@@ -1,8 +1,8 @@
-// TCP transport primitives for the distributed campaign executor.
+// TCP transport primitives for the campaign worker pool.
 //
-// The Supervisor's worker protocol — length-prefixed frames over a byte
-// stream, decoded by FrameBuffer — does not care whether the stream is a
-// pipe or a socket. These wrappers supply the socket half: a Listener
+// The length-prefixed frames of common/proc.h, decoded by FrameBuffer, do
+// not care whether the byte stream is a pipe or a socket. These wrappers
+// supply the socket half: a Listener
 // bound to an address (loopback by default) accepting nonblocking
 // connections, and a Socket that either came from accept() or from an
 // outbound connect. Frame I/O itself stays in common/proc.h; write_frame

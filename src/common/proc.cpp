@@ -94,20 +94,6 @@ std::optional<std::string> FrameBuffer::next_frame() {
   return payload;
 }
 
-std::string Subprocess::Exit::describe() const {
-  if (!signaled) return "exit " + std::to_string(code);
-  std::string name;
-  switch (code) {
-    case SIGKILL: name = " (SIGKILL)"; break;
-    case SIGSEGV: name = " (SIGSEGV)"; break;
-    case SIGTERM: name = " (SIGTERM)"; break;
-    case SIGABRT: name = " (SIGABRT)"; break;
-    case SIGFPE: name = " (SIGFPE)"; break;
-    default: break;
-  }
-  return "signal " + std::to_string(code) + name;
-}
-
 Subprocess Subprocess::spawn(const ChildMain& child_main) {
   int fds[2];
   if (::pipe(fds) != 0)

@@ -1,15 +1,15 @@
-// Process isolation primitives for the supervised campaign executor.
+// Process isolation and framing primitives.
 //
 // A campaign worker must be able to die — SIGKILL, a fatal FP trap, an OOM
 // kill, a hang — without taking the campaign down. That means real process
 // boundaries, not threads: Subprocess forks a child that runs a caller
-// -provided function and streams results back to the parent over a pipe,
-// one length-prefixed frame per completed unit of work. The parent owns
-// the read end and can poll it with deadlines, reap exits, and SIGKILL a
-// stuck child; the pipe's EOF/partial-frame states let it distinguish a
-// clean finish from a worker that died mid-result.
+// -provided function, with a pipe back to the parent. The campaign pool's
+// forked loopback workers talk TCP and leave the pipe unused; its hangup
+// is how the parent learns the child exited, so it can reap it without
+// polling. The parent can also SIGKILL a stuck child. Other callers (the
+// benchmark's cold-memory set-ups) stream a result back over the pipe.
 //
-// Frame wire format (all little-endian):
+// Frame wire format (all little-endian), used over pipes and sockets:
 //   [u32 payload length][payload bytes]
 // A reader that sees EOF mid-frame knows the writer died between starting
 // and finishing a result — exactly the truncation case checkpointing must
@@ -43,10 +43,10 @@ bool write_frame(int fd, std::string_view payload) noexcept;
 void append_u32le(std::string& out, std::uint32_t value);
 std::uint32_t read_u32le(const char* bytes) noexcept;
 
-/// Incremental frame decoder for one pipe. Feed it whatever read(2)
+/// Incremental frame decoder for one stream. Feed it whatever read(2)
 /// returns; pop complete frames as they become available. The buffer also
-/// answers the two health questions the supervisor asks at EOF: is there a
-/// partial frame pending (the writer died mid-result), and has the stream
+/// answers the two health questions the coordinator asks at EOF: is there
+/// a partial frame pending (the writer died mid-result), and has the stream
 /// produced an impossible length prefix (corruption)?
 class FrameBuffer {
  public:
@@ -82,7 +82,6 @@ class Subprocess {
     int code = 0;  // exit status when !signaled, signal number otherwise
 
     bool clean() const noexcept { return !signaled && code == 0; }
-    std::string describe() const;  // "exit 0", "signal 9 (SIGKILL)", ...
   };
 
   using ChildMain = std::function<int(int write_fd)>;

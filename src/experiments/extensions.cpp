@@ -3,6 +3,7 @@
 // validation, exact-vs-average-case error, the Section 5 adaptive attacker,
 // repair dynamics, and Chord transport fidelity.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 
@@ -342,21 +343,25 @@ Figure ext_repair_dynamics(const Params& params) {
   for (const double rate : {0.0, 0.1, 0.2, 0.4, 0.6, 0.8}) {
     sim::RepairConfig repair;
     repair.repair_rate = rate;
-    common::RunningStats repaired;
+    // Trials run on the pool's threads: an integer sum is exact in any
+    // arrival order, so the mean is deterministic at a fixed seed.
+    std::atomic<long long> repaired{0};
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
           auto outcome = sim::run_successive_attack_with_repair(
               overlay, attack, repair, rng);
-          repaired.add(outcome.repaired_nodes + outcome.repaired_filters);
+          repaired += outcome.repaired_nodes + outcome.repaired_filters;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
+    const double mean_repaired = static_cast<double>(repaired.load()) /
+                                 static_cast<double>(mc.resolved_trials);
     series.xs.push_back(rate);
     series.ys.push_back(mc.p_success);
     values[rate] = mc.p_success;
     figure.table.add_row({fmt(rate, 2), fmt(mc.p_success), fmt(mc.ci.lo),
-                          fmt(mc.ci.hi), fmt(repaired.mean(), 1)});
+                          fmt(mc.ci.hi), fmt(mean_repaired, 1)});
   }
   figure.series.push_back(std::move(series));
 
@@ -597,26 +602,25 @@ Figure ext_migration_defense(const Params& params) {
   double p_none = 0.0, p_best_proactive = 0.0, p_reactive_only = 0.0;
 
   const auto measure = [&](const sim::MigrationConfig& config) {
-    common::RunningStats migrated;
-    common::RunningStats sos_broken;
+    // Trials run on the pool's threads: an integer sum is exact in any
+    // arrival order, so the mean is deterministic at a fixed seed. The SOS
+    // break-in mean is the engine's own, reduced in trial order.
+    std::atomic<long long> migrated{0};
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
           auto outcome = sim::run_successive_attack_with_migration(
               overlay, attack, config, rng);
-          migrated.add(outcome.migrated);
-          int broken = 0;
-          for (const int count : outcome.attack.broken_per_layer)
-            broken += count;
-          sos_broken.add(broken);
+          migrated += outcome.migrated;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
+    const double mean_migrated = static_cast<double>(migrated.load()) /
+                                 static_cast<double>(mc.resolved_trials);
     figure.table.add_row({fmt(config.migration_rate, 2),
                           fmt(config.proactive_rate, 2), fmt(mc.p_success),
-                          fmt(mc.ci.lo), fmt(mc.ci.hi),
-                          fmt(migrated.mean(), 1),
-                          fmt(sos_broken.mean(), 1)});
+                          fmt(mc.ci.lo), fmt(mc.ci.hi), fmt(mean_migrated, 1),
+                          fmt(mc.mean_broken_sos, 1)});
     return mc.p_success;
   };
 

@@ -11,7 +11,7 @@
 //
 // Layering (each module only depends on the ones above it):
 //   common  - RNG, combinatorics, stats, tables, plots, CLI
-//   overlay - Chord (static + dynamic), node population, event queue
+//   overlay - Chord ring, node population, event queue
 //   core    - the paper's models and design-space analysis
 //   sosnet  - a concrete SOS overlay + routing/protocol simulation
 //   faults  - benign-fault plans/injection (crashes, loss, filter flaps)
@@ -30,7 +30,6 @@
 #include "common/table.h"
 
 #include "overlay/chord.h"
-#include "overlay/dynamic_chord.h"
 #include "overlay/event_queue.h"
 #include "overlay/network.h"
 #include "overlay/node_id.h"

@@ -1,5 +1,5 @@
-// AttemptLedger: the retry/backoff/quarantine arithmetic shared by the
-// Supervisor and the RemoteWorkerPool. Charging semantics, the quarantine
+// AttemptLedger: the retry/backoff/quarantine arithmetic of the
+// RemoteWorkerPool. Charging semantics, the quarantine
 // threshold, deterministic jittered backoff growth, eligibility gating,
 // and the "(accepted:)" validation style.
 #include "campaign/attempt_ledger.h"

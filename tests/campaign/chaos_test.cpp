@@ -1,8 +1,10 @@
 // Chaos harness: seeded worker-fault schedules (SIGKILL, SIGSTOP hangs,
-// bogus exit codes, torn frames) driven through the Supervisor. Every
-// schedule must converge to a settled report — each point computed or
-// formally quarantined — with zero lost checkpoints: whatever completes
-// is byte-identical to an undisturbed run.
+// bogus exit codes, torn frames) driven through forked loopback workers of
+// the RemoteWorkerPool. Every schedule must converge to a settled report —
+// each point computed or formally quarantined — with zero lost
+// checkpoints: whatever completes is byte-identical to an undisturbed run.
+// (One fault family at a time, and the network family, live in
+// distributed_chaos_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/supervisor.h"
+#include "campaign/remote_pool.h"
 
 namespace sos::campaign {
 namespace {
@@ -54,11 +56,11 @@ class ChaosTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  SupervisorOptions chaos_options(const std::string& store_dir) const {
-    SupervisorOptions options;
+  RemotePoolOptions chaos_options(const std::string& store_dir) const {
+    RemotePoolOptions options;
     options.store_dir = store_dir;
-    options.max_workers = 2;
-    options.points_per_worker = 4;
+    options.local_workers = 2;
+    options.points_per_assign = 4;
     options.point_deadline_s = 30.0;
     options.retry.backoff_base_s = 0.005;
     options.retry.backoff_max_s = 0.05;
@@ -76,74 +78,26 @@ class ChaosTest : public ::testing::Test {
   fs::path root_;
 };
 
-TEST_F(ChaosTest, CertainSigkillOnFirstAttemptRetriesToCompletion) {
-  // Every point's first attempt dies under SIGKILL (max_fires_per_point=1
-  // guarantees the retry computes). The campaign must complete with the
-  // reference bytes — a worker death between checkpoints loses nothing.
-  const auto spec = tiny_sweep();
-  auto options = chaos_options(store("s"));
-  options.chaos.sigkill = 1.0;
-  Supervisor supervisor{spec, options};
-  const auto report = supervisor.run();
-  EXPECT_TRUE(report.complete());
-  EXPECT_TRUE(report.settled());
-  EXPECT_EQ(report.quarantined, 0);
-  EXPECT_GE(report.retried, 1);
-  EXPECT_EQ(supervisor.runner().sweep_csv(), reference_csv(spec));
-}
-
-TEST_F(ChaosTest, CertainBadExitRetriesToCompletion) {
-  const auto spec = tiny_sweep();
-  auto options = chaos_options(store("s"));
-  options.chaos.bad_exit = 1.0;
-  Supervisor supervisor{spec, options};
-  const auto report = supervisor.run();
-  EXPECT_TRUE(report.complete());
-  EXPECT_EQ(report.quarantined, 0);
-  EXPECT_EQ(supervisor.runner().sweep_csv(), reference_csv(spec));
-}
-
-TEST_F(ChaosTest, TornFrameFromALyingWorkerIsNeverCheckpointed) {
-  // The truncate fault writes half a result frame and exits 0 — a worker
-  // that *lies*. The supervisor must detect the torn frame, never store
-  // it, and recompute the point to the correct bytes.
-  const auto spec = tiny_sweep();
-  auto options = chaos_options(store("s"));
-  options.chaos.truncate = 1.0;
-  Supervisor supervisor{spec, options};
-  const auto report = supervisor.run();
-  EXPECT_TRUE(report.complete());
-  EXPECT_EQ(report.quarantined, 0);
-  EXPECT_EQ(supervisor.runner().sweep_csv(), reference_csv(spec));
-}
-
-TEST_F(ChaosTest, HungWorkerIsKilledAtTheDeadlineAndThePointRetried) {
-  // SIGSTOP is the nastiest fault: the worker is alive but silent, so
-  // only the per-point deadline can detect it (SIGKILL terminates even a
-  // stopped process).
-  const auto spec = tiny_sweep();
-  auto options = chaos_options(store("s"));
-  options.chaos.hang = 1.0;
-  options.point_deadline_s = 0.2;
-  Supervisor supervisor{spec, options};
-  const auto report = supervisor.run();
-  EXPECT_TRUE(report.complete());
-  EXPECT_EQ(report.quarantined, 0);
-  EXPECT_EQ(supervisor.runner().sweep_csv(), reference_csv(spec));
+TEST_F(ChaosTest, InertChaosConfigIsDisabled) {
+  ChaosConfig chaos;
+  EXPECT_FALSE(chaos.enabled());
+  chaos.truncate = 0.5;
+  EXPECT_TRUE(chaos.enabled());
 }
 
 TEST_F(ChaosTest, UnlimitedFaultsDriveEveryPointIntoQuarantine) {
   // max_fires_per_point = 0: the fault fires on every attempt, so every
   // point exhausts its retries. The campaign must still terminate —
-  // settled and degraded, each point carrying a typed failure record with
-  // the chaos exit code in the reason — instead of looping or dying.
+  // settled and degraded, each point carrying a typed failure record —
+  // instead of looping or dying. A local worker that exits (here with the
+  // chaos exit code) is, to the coordinator, a connection that dropped.
   const auto spec = tiny_sweep();
   auto options = chaos_options(store("s"));
   options.chaos.bad_exit = 1.0;
   options.chaos.max_fires_per_point = 0;
   options.retry.max_retries = 2;
-  Supervisor supervisor{spec, options};
-  const auto report = supervisor.run();
+  RemoteWorkerPool pool{spec, options};
+  const auto report = pool.run();
   EXPECT_EQ(report.computed, 0);
   EXPECT_EQ(report.quarantined, 8);
   EXPECT_TRUE(report.settled());
@@ -152,13 +106,12 @@ TEST_F(ChaosTest, UnlimitedFaultsDriveEveryPointIntoQuarantine) {
   ASSERT_EQ(report.failures.size(), 8u);
   for (const auto& failure : report.failures) {
     EXPECT_EQ(failure.attempts, 3);  // 1 + max_retries
-    EXPECT_EQ(failure.reason,
-              "exit " + std::to_string(kChaosBadExitCode));
+    EXPECT_EQ(failure.reason, "connection lost");
   }
 
   // Degraded output assembly: the sweep CSV still has one row per point,
   // with NA result columns for the quarantined ones.
-  const auto csv = supervisor.runner().sweep_csv();
+  const auto csv = pool.runner().sweep_csv();
   EXPECT_NE(csv.find(",NA"), std::string::npos);
   const auto reference = reference_csv(spec);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
@@ -174,10 +127,10 @@ TEST_F(ChaosTest, RerunAfterQuarantineRecoversThePoints) {
   broken.chaos.sigkill = 1.0;
   broken.chaos.max_fires_per_point = 0;
   broken.retry.max_retries = 1;
-  const auto degraded = Supervisor{spec, broken}.run();
+  const auto degraded = RemoteWorkerPool{spec, broken}.run();
   ASSERT_TRUE(degraded.degraded());
 
-  Supervisor fixed{spec, chaos_options(store("s"))};
+  RemoteWorkerPool fixed{spec, chaos_options(store("s"))};
   const auto report = fixed.run();
   EXPECT_TRUE(report.complete());
   EXPECT_EQ(report.quarantined, 0);
@@ -186,10 +139,10 @@ TEST_F(ChaosTest, RerunAfterQuarantineRecoversThePoints) {
 }
 
 TEST_F(ChaosTest, MixedFaultMixConvergesAcrossSeeds) {
-  // A cocktail of all four faults at once, replayed over several seeds:
-  // every schedule must settle with no lost checkpoints. Completed points
-  // always carry reference bytes (quarantine is allowed; corruption is
-  // not).
+  // A cocktail of all four process faults at once, replayed over several
+  // seeds: every schedule must settle with no lost checkpoints. Completed
+  // points always carry reference bytes (quarantine is allowed;
+  // corruption is not). Hangs are cut short by the point deadline.
   const auto spec = tiny_sweep();
   const auto reference = reference_csv(spec);
   for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
@@ -200,28 +153,12 @@ TEST_F(ChaosTest, MixedFaultMixConvergesAcrossSeeds) {
     options.chaos.bad_exit = 0.25;
     options.chaos.truncate = 0.25;
     options.point_deadline_s = 0.2;
-    Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
+    RemoteWorkerPool pool{spec, options};
+    const auto report = pool.run();
     EXPECT_TRUE(report.settled()) << "seed " << seed;
     EXPECT_TRUE(report.complete()) << "seed " << seed;  // max_fires=1
-    EXPECT_EQ(supervisor.runner().sweep_csv(), reference)
-        << "seed " << seed;
+    EXPECT_EQ(pool.runner().sweep_csv(), reference) << "seed " << seed;
   }
-}
-
-TEST_F(ChaosTest, SameSeedReplaysTheSameSchedule) {
-  const auto spec = tiny_sweep();
-  std::vector<int> retried;
-  for (const auto& name : {"a", "b"}) {
-    auto options = chaos_options(store(name));
-    options.chaos.seed = 99;
-    options.chaos.sigkill = 0.5;
-    options.chaos.bad_exit = 0.5;
-    const auto report = Supervisor{spec, options}.run();
-    EXPECT_TRUE(report.complete());
-    retried.push_back(report.retried);
-  }
-  EXPECT_EQ(retried[0], retried[1]);  // the schedule is the seed's
 }
 
 }  // namespace

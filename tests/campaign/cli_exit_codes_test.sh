@@ -13,7 +13,7 @@
 #             (--search-only / --status before validation), 3 winner
 #             validation quarantined (degraded)
 #
-# Scripts (run_all.sh --supervised, CI gates) branch on these numbers, so
+# Scripts (run_all.sh --distributed, CI gates) branch on these numbers, so
 # they are API: this test drives the real binary through complete, pending,
 # quarantined, corrupted and crash-resumed stores and asserts each code.
 #
@@ -83,13 +83,12 @@ grep -q "pending:" "$work/partial_status.txt" || {
   failures=$((failures + 1))
 }
 
-# A supervised run whose workers always die quarantines every point:
-# run exits 3 (degraded), status exits 3, and the records carry the
-# chaos exit code.
+# A distributed run whose workers always die quarantines every point:
+# run exits 3 (degraded), status exits 3, and status lists the records.
 "$cli" run "$spec" --store="$work/degraded" --results="$work/results" \
-  --supervised --max-retries=1 --backoff-base=0.01 --backoff-max=0.05 \
+  --distributed --max-retries=1 --backoff-base=0.01 --backoff-max=0.05 \
   --chaos-bad-exit=1.0 --chaos-max-fires=0 > "$work/degraded_run.txt" 2>&1
-expect_rc 3 $? "supervised run degraded by certain worker faults"
+expect_rc 3 $? "distributed run degraded by certain worker faults"
 "$cli" status "$work/degraded" > "$work/degraded_status.txt" 2>&1
 expect_rc 3 $? "status with quarantined points"
 grep -q "quarantined:" "$work/degraded_status.txt" || {
@@ -97,20 +96,20 @@ grep -q "quarantined:" "$work/degraded_status.txt" || {
   failures=$((failures + 1))
 }
 
-# Supervised retry path: faults on the first attempt only -> the campaign
-# completes (exit 0) and its store reads complete (exit 0).
+# Retry path: faults on the first attempt only -> the campaign completes
+# (exit 0) and its store reads complete (exit 0).
 "$cli" run "$spec" --store="$work/retried" --results="$work/results" \
-  --supervised --backoff-base=0.01 --backoff-max=0.05 \
+  --distributed --backoff-base=0.01 --backoff-max=0.05 \
   --chaos-sigkill=1.0 > /dev/null 2>&1
-expect_rc 0 $? "supervised run that retries past first-attempt faults"
+expect_rc 0 $? "distributed run that retries past first-attempt faults"
 "$cli" status "$work/retried" > /dev/null 2>&1
-expect_rc 0 $? "status after supervised recovery"
+expect_rc 0 $? "status after distributed recovery"
 
-# Quarantine is not a tombstone: a later supervised run without chaos
-# recomputes the quarantined points and clears the records.
+# Quarantine is not a tombstone: a later run without chaos recomputes the
+# quarantined points and clears the records.
 "$cli" run "$spec" --store="$work/degraded" --results="$work/results" \
-  --supervised --backoff-base=0.01 --backoff-max=0.05 > /dev/null 2>&1
-expect_rc 0 $? "supervised rerun recovers the quarantined store"
+  --distributed --backoff-base=0.01 --backoff-max=0.05 > /dev/null 2>&1
+expect_rc 0 $? "distributed rerun recovers the quarantined store"
 "$cli" status "$work/degraded" > /dev/null 2>&1
 expect_rc 0 $? "status after quarantine recovery"
 
@@ -290,17 +289,17 @@ expect_rc 0 $? "optimize --status of a validated store"
   failures=$((failures + 1))
 }
 
-# Supervised validation whose workers always die quarantines the winners:
-# exit 3, and a clean supervised rerun recovers to 0.
+# Distributed validation whose workers always die quarantines the winners:
+# exit 3, and a clean distributed rerun recovers to 0.
 "$cli" optimize "$ospec" --store="$work/opt-degraded" \
-  --results="$work/results" --supervised --max-retries=1 \
+  --results="$work/results" --distributed --max-retries=1 \
   --backoff-base=0.01 --backoff-max=0.05 \
   --chaos-bad-exit=1.0 --chaos-max-fires=0 > /dev/null 2>&1
 expect_rc 3 $? "optimize with quarantined winner validation"
 "$cli" optimize "$ospec" --store="$work/opt-degraded" \
-  --results="$work/results" --supervised \
+  --results="$work/results" --distributed \
   --backoff-base=0.01 --backoff-max=0.05 > /dev/null 2>&1
-expect_rc 0 $? "optimize supervised rerun recovers the quarantine"
+expect_rc 0 $? "optimize distributed rerun recovers the quarantine"
 
 if [[ "$failures" != 0 ]]; then
   echo "$failures exit-code contract violation(s)" >&2

@@ -91,7 +91,7 @@ class RecoveryTestBase : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  /// Reference store from an unsupervised in-process run (run BEFORE any
+  /// Reference store from an in-process run (run BEFORE any
   /// worker thread starts: both sides borrow the shared ThreadPool).
   void compute_reference(const ScenarioSpec& spec) {
     CampaignOptions options;

@@ -3,7 +3,7 @@
 // the optimizer PR — each winner's analytic worst-case P_S lands inside the
 // stored Wilson interval (with the model-bias margin measured in PR 3) —
 // plus warm-cache reruns through the shared ResultStore, search-only /
-// status classification, CSV assembly, and supervised quarantine of a
+// status classification, CSV assembly, and distributed quarantine of a
 // chaos-poisoned validation.
 //
 // The OptimizeSmoke suite doubles as `ctest -L optimize-smoke`.
@@ -194,7 +194,7 @@ TEST_F(OptimizeSmoke, WinnerSpecPinsTheWorstCaseSplit) {
   EXPECT_EQ(validation.rounds, spec.objective.budget.rounds);
 }
 
-TEST_F(OptimizeSmoke, SupervisedChaosQuarantinesPoisonedWinners) {
+TEST_F(OptimizeSmoke, DistributedChaosQuarantinesPoisonedWinners) {
   auto spec = tiny_spec();
   // One winner is enough to exercise the quarantine path cheaply.
   spec.space.layers = {2};
@@ -205,12 +205,12 @@ TEST_F(OptimizeSmoke, SupervisedChaosQuarantinesPoisonedWinners) {
 
   OptimizeOptions options;
   options.store_dir = store_dir();
-  options.supervised = true;
-  options.supervisor.max_workers = 1;
-  options.supervisor.retry.max_retries = 1;
-  options.supervisor.retry.backoff_base_s = 0.01;
-  options.supervisor.chaos.bad_exit = 1.0;       // every attempt dies
-  options.supervisor.chaos.max_fires_per_point = 0;  // ...on every retry
+  options.distributed.emplace();
+  options.distributed->local_workers = 1;
+  options.distributed->retry.max_retries = 1;
+  options.distributed->retry.backoff_base_s = 0.01;
+  options.distributed->chaos.bad_exit = 1.0;  // every attempt dies
+  options.distributed->chaos.max_fires_per_point = 0;  // ...on every retry
 
   OptimizeRunner runner{spec, options};
   const auto report = runner.run();
@@ -225,10 +225,10 @@ TEST_F(OptimizeSmoke, SupervisedChaosQuarantinesPoisonedWinners) {
   EXPECT_NE(runner.frontier_csv(report).find("quarantined"),
             std::string::npos);
 
-  // The quarantine is a store record, not a verdict: a clean supervised
+  // The quarantine is a store record, not a verdict: a clean distributed
   // rerun computes the winner and the report completes.
   OptimizeOptions healthy = options;
-  healthy.supervisor.chaos = ChaosConfig{};
+  healthy.distributed->chaos = ChaosConfig{};
   OptimizeRunner retry{spec, healthy};
   const auto recovered = retry.run();
   EXPECT_TRUE(recovered.complete()) << "clean rerun must recover";

@@ -1,10 +1,11 @@
 // RemoteWorkerPool end-to-end: a distributed campaign over TCP workers
-// must produce a store byte-identical to the in-process CampaignRunner
-// and the forked Supervisor on the same spec, at any worker count; serve
+// must produce a store byte-identical to the in-process CampaignRunner on
+// the same spec, at any worker count and for figure campaigns too; serve
 // warm caches; resume checkpoints across executors; register external
 // workers (run_remote_worker driven from a thread, exactly what
-// `sos_campaign serve` runs); and fail with FleetUnreachableError — never
-// a hang — when no worker ever shows up.
+// `sos_campaign serve` runs); close a worker that heartbeats but never
+// finishes its point at the point deadline; and fail with
+// FleetUnreachableError — never a hang — when no worker ever shows up.
 //
 // Thread-worker caution: CampaignRunner's point computation fans out over
 // ThreadPool::shared(), which must be owned by one caller at a time — so
@@ -14,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -24,7 +27,12 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/supervisor.h"
+#include "campaign/registry.h"
+#include "campaign/remote_protocol.h"
+#include "common/net.h"
+#include "common/proc.h"
+#include "experiments/figure.h"
+#include "experiments/figures.h"
 
 namespace sos::campaign {
 namespace {
@@ -32,7 +40,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Small sweep: 2 x 2 x 2 x 1 = 8 points with a light Monte Carlo overlay
-/// (the same grid the supervisor tests pin).
+/// (the same grid the chaos tests pin).
 ScenarioSpec tiny_sweep() {
   ScenarioSpec spec;
   spec.name = "tiny";
@@ -75,7 +83,7 @@ class RemotePoolTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  /// Reference output from an unsupervised in-process run of `spec`.
+  /// Reference output from an in-process run of `spec`.
   std::string reference_csv(const ScenarioSpec& spec) {
     CampaignOptions options;
     options.store_dir = store("reference");
@@ -120,27 +128,46 @@ TEST_F(RemotePoolTest, DistributedRunIsBitIdenticalToInProcess) {
 }
 
 TEST_F(RemotePoolTest, EveryExecutorProducesTheSameStoreBytes) {
-  // The non-negotiable invariant: in-process, 8 forked supervisor
-  // workers, and a TCP worker fleet all converge to identical objects.
+  // The non-negotiable invariant: in-process and a TCP worker fleet
+  // converge to identical objects.
   const auto spec = tiny_sweep();
   reference_csv(spec);  // in-process -> store("reference")
-
-  SupervisorOptions supervised;
-  supervised.store_dir = store("supervised");
-  supervised.max_workers = 8;
-  supervised.points_per_worker = 1;
-  supervised.retry.backoff_base_s = 0.01;
-  supervised.retry.backoff_max_s = 0.1;
-  Supervisor{spec, supervised}.run();
 
   auto distributed = fast_options(store("dist"));
   distributed.local_workers = 4;
   distributed.points_per_assign = 1;
   RemoteWorkerPool{spec, distributed}.run();
 
-  const auto reference = store_objects(store("reference"));
-  EXPECT_EQ(store_objects(store("supervised")), reference);
-  EXPECT_EQ(store_objects(store("dist")), reference);
+  EXPECT_EQ(store_objects(store("dist")), store_objects(store("reference")));
+}
+
+TEST_F(RemotePoolTest, ShardingAcrossManyWorkersDoesNotChangeBytes) {
+  const auto spec = tiny_sweep();
+  const auto reference = reference_csv(spec);
+  for (const int workers : {1, 4, 8}) {
+    const std::string name = "w" + std::to_string(workers);
+    auto options = fast_options(store(name));
+    options.local_workers = workers;
+    options.points_per_assign = 2;
+    RemoteWorkerPool pool{spec, options};
+    const auto report = pool.run();
+    EXPECT_TRUE(report.complete()) << "workers=" << workers;
+    EXPECT_EQ(pool.runner().sweep_csv(), reference) << "workers=" << workers;
+    EXPECT_EQ(store_objects(store(name)), store_objects(store("reference")))
+        << "workers=" << workers;
+  }
+}
+
+TEST_F(RemotePoolTest, FigureCampaignDistributedMatchesTheLegacyGenerator) {
+  experiments::Params params;
+  params.mc_trials = 0;
+  auto options = fast_options(store("fig"));
+  options.local_workers = 1;
+  RemoteWorkerPool pool{figure_spec("fig4a", params, 0), options};
+  const auto report = pool.run();
+  EXPECT_EQ(report.computed, 1);
+  EXPECT_EQ(pool.runner().figure_csv("fig4a"),
+            experiments::fig4a(params).table.to_csv());
 }
 
 TEST_F(RemotePoolTest, WarmRerunServesEveryPointFromCache) {
@@ -271,6 +298,10 @@ TEST_F(RemotePoolTest, OptionsValidateRejectsNonsense) {
   EXPECT_THROW((RemoteWorkerPool{spec, bad_registration}),
                std::invalid_argument);
 
+  auto bad_deadline = fast_options(store("s"));
+  bad_deadline.point_deadline_s = 0.0;
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_deadline}), std::invalid_argument);
+
   auto bad_retry = fast_options(store("s"));
   bad_retry.retry.max_retries = -1;
   EXPECT_THROW((RemoteWorkerPool{spec, bad_retry}), std::invalid_argument);
@@ -283,6 +314,100 @@ TEST_F(RemotePoolTest, OptionsValidateRejectsNonsense) {
   bad_partition.chaos.net_partition_s = 0.0;
   EXPECT_THROW((RemoteWorkerPool{spec, bad_partition}),
                std::invalid_argument);
+
+  auto bad_fires = fast_options(store("s"));
+  bad_fires.chaos.max_fires_per_point = -1;
+  EXPECT_THROW((RemoteWorkerPool{spec, bad_fires}), std::invalid_argument);
+}
+
+TEST_F(RemotePoolTest, StuckWorkerIsClosedAtThePointDeadline) {
+  // A worker stuck inside a point keeps heartbeating (its heartbeats come
+  // from their own thread), so only the per-point deadline can catch it.
+  // Here a hand-built worker registers, takes an assignment, heartbeats
+  // and never sends a RESULT. The coordinator must close it at
+  // point_deadline_s — heartbeat silence never fires — charging its first
+  // point exactly once; a real worker then finishes the store
+  // byte-identically.
+  using Clock = std::chrono::steady_clock;
+  const auto spec = tiny_sweep();
+  reference_csv(spec);  // before any worker thread borrows the shared pool
+
+  auto options = fast_options(store("stuck"));
+  options.local_workers = 0;
+  options.points_per_assign = 2;
+  options.heartbeat_timeout_s = 5.0;
+  options.point_deadline_s = 0.4;
+  RemoteWorkerPool pool{spec, options};
+  const std::uint16_t port = pool.port();
+
+  double assigned_to_closed_s = -1.0;
+  std::vector<Assignment> taken;
+  int real_worker_exit = -1;
+  std::thread fleet([&]() {
+    {
+      auto sock = common::Socket::connect_ipv4("127.0.0.1", port);
+      if (!sock) return;
+      const common::MacKey base_key = load_base_key("");
+      Hello hello;
+      hello.pid = 1;  // no local child has this pid: nothing to SIGKILL
+      hello.challenge = 0x57c4;
+      const common::MacKey session_key =
+          common::derive_session_key(base_key, hello.challenge);
+      if (!common::write_frame(sock->fd(),
+                               seal_frame(encode_hello(hello), base_key)))
+        return;
+      const std::string beat = seal_frame(encode_heartbeat(), session_key);
+      common::FrameBuffer frames;
+      Clock::time_point assigned_at;
+      auto next_beat = Clock::now();
+      const auto give_up = Clock::now() + std::chrono::seconds(20);
+      while (Clock::now() < give_up) {
+        if (Clock::now() >= next_beat) {
+          (void)common::write_frame(sock->fd(), beat);
+          next_beat = Clock::now() + std::chrono::milliseconds(20);
+        }
+        ::pollfd waiter{sock->fd(), POLLIN, 0};
+        if (::poll(&waiter, 1, 10) <= 0) continue;
+        char buffer[4096];
+        const long n = sock->read_some(buffer, sizeof(buffer));
+        if (n == 0 || n == -2) {  // the coordinator closed the session
+          if (!taken.empty())
+            assigned_to_closed_s =
+                std::chrono::duration<double>(Clock::now() - assigned_at)
+                    .count();
+          break;
+        }
+        if (n < 0) continue;
+        frames.feed(buffer, static_cast<std::size_t>(n));
+        while (const auto raw = frames.next_frame()) {
+          const auto frame = open_frame(*raw, session_key);
+          if (frame && message_type(*frame) == MessageType::kAssign &&
+              taken.empty()) {
+            taken = parse_assign(*frame).value_or(std::vector<Assignment>{});
+            assigned_at = Clock::now();
+          }
+        }
+      }
+    }
+    RemoteWorkerConfig worker;
+    worker.port = port;
+    worker.heartbeat_interval_s = 0.02;
+    real_worker_exit = run_remote_worker(worker);
+  });
+
+  const auto report = pool.run();
+  fleet.join();
+
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].index, 0);
+  EXPECT_EQ(taken[0].attempt, 0);
+  EXPECT_GE(assigned_to_closed_s, options.point_deadline_s - 0.05);
+  EXPECT_LT(assigned_to_closed_s, options.heartbeat_timeout_s);
+  EXPECT_EQ(report.retried, 1);  // the first point, charged once
+  EXPECT_EQ(real_worker_exit, 0);
+  EXPECT_TRUE(report.complete());
+  EXPECT_FALSE(report.degraded());
+  EXPECT_EQ(store_objects(store("stuck")), store_objects(store("reference")));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Supervised trials=auto parity (part of `ctest -L sampling-smoke`): the
-// supervised worker's unit of work is CampaignRunner::compute_point_bytes,
-// so a stopping-rule campaign must produce byte-identical output whether the
-// points run in-process or in supervised worker subprocesses. Lives in the
-// robustness binary because the supervisor forks workers.
+// Distributed trials=auto parity (part of `ctest -L sampling-smoke`): a
+// pool worker's unit of work is CampaignRunner::compute_point_bytes, so a
+// stopping-rule campaign must produce byte-identical output whether the
+// points run in-process or in forked loopback workers. Lives in the
+// robustness binary because the pool forks workers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,8 +10,8 @@
 #include <filesystem>
 #include <string>
 
+#include "campaign/remote_pool.h"
 #include "campaign/runner.h"
-#include "campaign/supervisor.h"
 
 namespace sos::campaign {
 namespace {
@@ -20,7 +20,7 @@ namespace fs = std::filesystem;
 
 ScenarioSpec auto_sweep(const std::string& estimator) {
   ScenarioSpec spec;
-  spec.name = "auto_supervised";
+  spec.name = "auto_distributed";
   spec.mode = ScenarioSpec::Mode::kSweep;
   spec.total_overlay = 1000;
   spec.mc_walks = 2;
@@ -37,11 +37,11 @@ ScenarioSpec auto_sweep(const std::string& estimator) {
   return spec;
 }
 
-class SamplingSupervised : public ::testing::Test {
+class SamplingDistributed : public ::testing::Test {
  protected:
   void SetUp() override {
     root_ = fs::temp_directory_path() /
-            ("sos_sampling_supervised_" + std::to_string(::getpid()) + "_" +
+            ("sos_sampling_distributed_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()
                              ->current_test_info()
                              ->name()));
@@ -56,7 +56,7 @@ class SamplingSupervised : public ::testing::Test {
   fs::path root_;
 };
 
-TEST_F(SamplingSupervised, SupervisedAutoCampaignIsBitIdenticalToInProcess) {
+TEST_F(SamplingDistributed, DistributedAutoCampaignIsBitIdenticalToInProcess) {
   for (const std::string estimator : {"sequential", "stratified"}) {
     const auto spec = auto_sweep(estimator);
 
@@ -65,17 +65,16 @@ TEST_F(SamplingSupervised, SupervisedAutoCampaignIsBitIdenticalToInProcess) {
     CampaignRunner reference{spec, in_process};
     reference.run();
 
-    SupervisorOptions options;
-    options.store_dir = store(estimator + "_sup");
+    RemotePoolOptions options;
+    options.store_dir = store(estimator + "_dist");
     options.retry.backoff_base_s = 0.01;
     options.retry.backoff_max_s = 0.1;
-    options.max_workers = 2;
-    options.points_per_worker = 1;
-    Supervisor supervisor{spec, options};
-    const auto report = supervisor.run();
+    options.local_workers = 2;
+    options.points_per_assign = 1;
+    RemoteWorkerPool pool{spec, options};
+    const auto report = pool.run();
     EXPECT_TRUE(report.complete()) << estimator;
-    EXPECT_EQ(supervisor.runner().sweep_csv(), reference.sweep_csv())
-        << estimator;
+    EXPECT_EQ(pool.runner().sweep_csv(), reference.sweep_csv()) << estimator;
   }
 }
 

@@ -1,6 +1,6 @@
 // Process isolation primitives: frame round trips through real pipes,
 // incremental decoding across arbitrary read boundaries, the corruption
-// and mid-frame EOF states the supervisor's health checks rest on, and
+// and mid-frame EOF states the coordinator's health checks rest on, and
 // Subprocess exit classification (clean, nonzero, signaled, escaping
 // exception).
 #include "common/proc.h"
@@ -123,7 +123,7 @@ TEST(FrameBuffer, BackToBackFramesInOneFeedAllDecode) {
 
 TEST(FrameBuffer, CorruptPrefixAfterValidFramesStillDeliversTheValidOnes) {
   // Frames decoded before the impossible length prefix arrived must not be
-  // lost: the supervisor checkpoints them before noticing the corruption.
+  // lost: the coordinator checkpoints them before noticing the corruption.
   std::string stream = frame_bytes("good-1") + frame_bytes("good-2");
   append_u32le(stream, kMaxFrameBytes + 7);
   FrameBuffer buffer;
@@ -180,7 +180,6 @@ TEST(Subprocess, StreamsFramesAndExitsClean) {
   EXPECT_EQ(frames[1], "beta");
   const auto exit = child.wait_exit();
   EXPECT_TRUE(exit.clean());
-  EXPECT_EQ(exit.describe(), "exit 0");
 }
 
 TEST(Subprocess, NonzeroExitCodeIsReported) {
@@ -189,7 +188,6 @@ TEST(Subprocess, NonzeroExitCodeIsReported) {
   EXPECT_FALSE(exit.clean());
   EXPECT_FALSE(exit.signaled);
   EXPECT_EQ(exit.code, 41);
-  EXPECT_EQ(exit.describe(), "exit 41");
 }
 
 TEST(Subprocess, SigkillIsClassifiedAsSignaled) {
@@ -200,7 +198,6 @@ TEST(Subprocess, SigkillIsClassifiedAsSignaled) {
   const auto exit = child.wait_exit();
   EXPECT_TRUE(exit.signaled);
   EXPECT_EQ(exit.code, SIGKILL);
-  EXPECT_EQ(exit.describe(), "signal 9 (SIGKILL)");
 }
 
 TEST(Subprocess, EscapingExceptionExitsSeventy) {
@@ -212,7 +209,7 @@ TEST(Subprocess, EscapingExceptionExitsSeventy) {
 }
 
 TEST(Subprocess, KillTerminatesAStoppedChild) {
-  // SIGSTOP-ed children are the supervisor's deadline case: SIGKILL must
+  // SIGSTOP-ed children are the coordinator's deadline case: SIGKILL must
   // get through anyway.
   auto child = Subprocess::spawn([](int) {
     ::raise(SIGSTOP);
@@ -232,42 +229,6 @@ TEST(Subprocess, PollExitIsNonBlockingAndCaches) {
   const auto again = child.poll_exit();
   ASSERT_TRUE(again.has_value());
   EXPECT_TRUE(again->clean());
-}
-
-TEST(SubprocessExit, DescribeCoversCodesAndSignals) {
-  // describe() strings are operator-facing (quarantine reasons, CLI
-  // output) and test-asserted elsewhere, so the exact spellings are API.
-  Subprocess::Exit exit;
-  EXPECT_EQ(exit.describe(), "exit 0");
-  EXPECT_TRUE(exit.clean());
-
-  exit.code = 41;
-  EXPECT_EQ(exit.describe(), "exit 41");
-  EXPECT_FALSE(exit.clean());
-
-  exit.signaled = true;
-  exit.code = SIGKILL;
-  EXPECT_EQ(exit.describe(), "signal 9 (SIGKILL)");
-  exit.code = SIGSEGV;
-  EXPECT_EQ(exit.describe(), "signal " + std::to_string(SIGSEGV) +
-                                 " (SIGSEGV)");
-  exit.code = SIGTERM;
-  EXPECT_EQ(exit.describe(), "signal " + std::to_string(SIGTERM) +
-                                 " (SIGTERM)");
-  exit.code = SIGABRT;
-  EXPECT_EQ(exit.describe(), "signal " + std::to_string(SIGABRT) +
-                                 " (SIGABRT)");
-  exit.code = SIGFPE;
-  EXPECT_EQ(exit.describe(), "signal " + std::to_string(SIGFPE) +
-                                 " (SIGFPE)");
-
-  // A signal without a friendly name still renders its number.
-  exit.code = SIGUSR2;
-  EXPECT_EQ(exit.describe(), "signal " + std::to_string(SIGUSR2));
-
-  // A signaled exit is never clean, even with code 0 nonsense.
-  exit.code = 0;
-  EXPECT_FALSE(exit.clean());
 }
 
 TEST(Subprocess, WriteFrameToAClosedReaderFailsInsteadOfKillingUs) {
@@ -300,7 +261,8 @@ TEST(Subprocess, WriteFrameToAClosedReaderFailsInsteadOfKillingUs) {
   }
   child.close_read();
   const auto exit = child.wait_exit();
-  EXPECT_TRUE(exit.clean()) << exit.describe();
+  EXPECT_TRUE(exit.clean()) << "signaled " << exit.signaled << ", code "
+                            << exit.code;
 }
 
 TEST(Subprocess, TruncatedFrameIsVisibleAtEof) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/mathx.h"
 
@@ -227,6 +228,13 @@ struct SweepParam {
   int budget_c;
   double p_break;
 };
+
+// Printed as fields, not bytes: the struct has padding, and gtest's
+// printout becomes the ctest name.
+void PrintTo(const SweepParam& param, std::ostream* out) {
+  *out << "L" << param.layers << "_T" << param.budget_t << "_C"
+       << param.budget_c << "_PB" << param.p_break;
+}
 
 class OneBurstSweep : public ::testing::TestWithParam<SweepParam> {};
 

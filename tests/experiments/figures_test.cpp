@@ -140,6 +140,23 @@ TEST(Figures, ExtMigrationChecksPass) {
   expect_all_checks_pass(figure);
 }
 
+// These two figures tally per-trial counts (roles migrated, nodes repaired)
+// from inside trials that run on the Monte Carlo pool's threads. At one
+// seed, the whole CSV must repeat exactly, whichever thread finishes first.
+TEST(FigureDeterminism, MigrationDefenseRepeatsAtOneSeed) {
+  Params params = fast_params();
+  params.mc_trials = 60;
+  EXPECT_EQ(ext_migration_defense(params).table.to_csv(),
+            ext_migration_defense(params).table.to_csv());
+}
+
+TEST(FigureDeterminism, RepairDynamicsRepeatsAtOneSeed) {
+  Params params = fast_params();
+  params.mc_trials = 60;
+  EXPECT_EQ(ext_repair_dynamics(params).table.to_csv(),
+            ext_repair_dynamics(params).table.to_csv());
+}
+
 TEST(Figures, ExtHardeningChecksPass) {
   const auto figure = ext_hardening_placement(fast_params());
   expect_well_formed(figure);

@@ -5,6 +5,8 @@
 // trustworthy.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "attack/one_burst_attacker.h"
 #include "attack/successive_attacker.h"
 #include "core/exact_models.h"
@@ -24,6 +26,14 @@ struct LatticePoint {
   int rounds;
   double prior;
 };
+
+// gtest names each lattice case after the printed parameter (ctest copies
+// it into the test name), so print the fields, not the struct's bytes.
+void PrintTo(const LatticePoint& point, std::ostream* out) {
+  *out << "L" << point.layers << "_" << point.mapping << "_"
+       << point.distribution << "_T" << point.budget_t << "_C"
+       << point.budget_c << "_R" << point.rounds << "_P" << point.prior;
+}
 
 core::SosDesign make_design(const LatticePoint& point, int total, int sos) {
   return core::SosDesign::make(
@@ -98,6 +108,11 @@ struct OneBurstPoint {
   int budget_c;
   double p_break;
 };
+
+void PrintTo(const OneBurstPoint& point, std::ostream* out) {
+  *out << "L" << point.layers << "_" << point.mapping << "_T"
+       << point.budget_t << "_C" << point.budget_c << "_PB" << point.p_break;
+}
 
 class OneBurstModelVsSimulation
     : public ::testing::TestWithParam<OneBurstPoint> {};
