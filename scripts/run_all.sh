@@ -5,6 +5,12 @@
 #
 # Example: scripts/run_all.sh build results --mc-trials=60
 #
+# The default and --resume passes run only the figure binaries, so the
+# script's wall-clock is the figure suite's. The google-benchmark suites run
+# filtered under the opt-in passes below (perf_macro under --scale;
+# perf_micro under --sampling, --distributed, --optimize and --fsck), and in
+# full under scripts/bench_baseline.
+#
 # Pass --resume (anywhere in the extra flags) to route the figure suite
 # through the campaign engine: results are checkpointed per figure into
 # $results_dir/.campaign, so an interrupted suite picks up where it left
@@ -107,13 +113,6 @@ fi
 
 mkdir -p "$results_dir"
 
-run_perf_micro() {
-  local bench="$build_dir/bench/perf_micro"
-  [[ -x "$bench" ]] || return 0
-  echo "== perf_micro"
-  "$bench" "$@" | tee "$results_dir/perf_micro.txt" >/dev/null || true
-}
-
 if [[ "$scale" == 1 ]]; then
   echo "== scale-smoke acceptance tests ($build_dir)"
   ctest --test-dir "$build_dir" -L scale-smoke --output-on-failure
@@ -201,19 +200,13 @@ if [[ "$resume" == 1 ]]; then
       exit 3
     fi
   fi
-  run_perf_micro  # perf_micro takes google-benchmark flags, not sweep flags
   grep -hE '\[(PASS|FAIL)\]' "$results_dir"/*.txt || true
 else
   for bench in "$build_dir"/bench/*; do
     [[ -x "$bench" && -f "$bench" ]] || continue
     name="$(basename "$bench")"
-    if [[ "$name" == perf_macro ]]; then
-      continue  # google-benchmark flags only; runs under --scale above
-    fi
-    if [[ "$name" == perf_micro ]]; then
-      echo "== $name"
-      "$bench" "$@" | tee "$results_dir/$name.txt" >/dev/null || true
-      continue
+    if [[ "$name" == perf_macro || "$name" == perf_micro ]]; then
+      continue  # google-benchmark suites; the filtered passes above run them
     fi
     echo "== $name"
     "$bench" --csv="$results_dir/$name.csv" "$@" | tee "$results_dir/$name.txt" \

@@ -16,18 +16,19 @@ struct Target {
   int index = -1;
 };
 
-/// k-th (0-based) element of [0, N) \ excl, with `excl` sorted ascending.
-/// Fixed-point iteration on x = k + #{e in excl : e <= x}; converges to the
-/// least fixed point, which is exactly the k-th complement element.
-int kth_of_complement(const std::vector<int>& excl, std::uint64_t k) {
-  auto x = static_cast<std::int64_t>(k);
-  for (;;) {
-    const auto it =
-        std::upper_bound(excl.begin(), excl.end(), static_cast<int>(x));
-    const auto next = static_cast<std::int64_t>(k) + (it - excl.begin());
-    if (next == x) return static_cast<int>(x);
-    x = next;
+/// #{j : rank[j] <= pick} for a non-decreasing `rank`, by a branch-free
+/// descent: each level is one compare and a conditional move, so the loop
+/// has no data-dependent branch to mispredict.
+int count_at_most(const std::vector<int>& rank, int pick) {
+  if (rank.empty()) return 0;
+  const int* base = rank.data();
+  std::size_t len = rank.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base = base[half] <= pick ? base + half : base;
+    len -= half;
   }
+  return static_cast<int>(base - rank.data()) + (*base <= pick ? 1 : 0);
 }
 
 }  // namespace
@@ -122,11 +123,20 @@ void execute_congestion_phase(sosnet::SosOverlay& overlay,
     excl.erase(std::unique(excl.begin(), excl.end()), excl.end());
     const int pool_size = big_n - static_cast<int>(excl.size());
     if (pool_size > budget) {
+      // Rewrite the exclusion list in place as its rank table: excl[j] - j
+      // counts the pool nodes below excl[j], so the table is non-decreasing
+      // and the pick-th pool node is pick + #{j : rank[j] <= pick}.
+      auto& rank = excl;
+      for (std::size_t j = 0; j < rank.size(); ++j)
+        rank[j] -= static_cast<int>(j);
       rng.sample_without_replacement_into(
           static_cast<std::uint64_t>(pool_size),
           static_cast<std::uint64_t>(budget), picks, sample_scratch);
-      for (const auto pick : picks)
-        congest_node(overlay, kth_of_complement(excl, pick), outcome);
+      for (const auto pick : picks) {
+        const int position = static_cast<int>(pick);
+        congest_node(overlay, position + count_at_most(rank, position),
+                     outcome);
+      }
       return;
     }
     // Budget covers the whole pool: walk the complement in ascending order

@@ -71,9 +71,11 @@ class Rng {
   /// expands it. Used to hand each Monte Carlo trial its own stream.
   Rng fork() noexcept;
 
-  /// k distinct values drawn uniformly from [0, population). Robert Floyd's
-  /// algorithm: O(k) expected time, no O(population) allocation.
-  /// Requires k <= population.
+  /// k distinct values drawn uniformly from [0, population). Dense draws
+  /// (3k >= population) run a partial Fisher-Yates over an O(population)
+  /// index pool. Sparser draws run Robert Floyd's algorithm in O(k) expected
+  /// time, tracking membership in an O(population) stamp array up to 2^22
+  /// elements and in an O(k) hash set beyond. Requires k <= population.
   std::vector<std::uint64_t> sample_without_replacement(std::uint64_t population,
                                                         std::uint64_t k);
 

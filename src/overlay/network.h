@@ -83,7 +83,7 @@ class Network {
   bool health_scan_saturated() const noexcept { return touched_saturated_; }
 
   /// Nodes recorded as having left kGood since the last reset (may contain
-  /// duplicates; empty when saturated). Sorted? No — insertion order.
+  /// duplicates; empty when saturated). Insertion order.
   const std::vector<std::int32_t>& touched_health() const noexcept {
     return touched_;
   }

@@ -1,11 +1,16 @@
 // Direct unit tests for the break-in / congestion primitives every attacker
 // is built from (the attacker tests cover them end to end; these pin the
 // contracts).
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "attack/break_in.h"
 #include "attack/congestion.h"
 #include "common/rng.h"
+#include "common/scan_mode.h"
 
 namespace sos::attack {
 namespace {
@@ -187,6 +192,104 @@ TEST(Congestion, BudgetLargerThanPoolCongestsEverythingCongestable) {
   EXPECT_EQ(f.overlay.network().good_count(), 0);
   EXPECT_EQ(f.overlay.network().broken_in_count(), 1);
   EXPECT_EQ(f.outcome.congested_nodes, 199);
+}
+
+// Nodes broken into and nodes (and filters) disclosed before the phase; the
+// spill-over pool is the complement of both.
+struct ExclusionCase {
+  std::string name;
+  std::vector<int> broken;
+  std::vector<int> disclosed;
+  std::vector<int> filters;
+};
+
+std::vector<int> node_range(int begin, int end, int step = 1) {
+  std::vector<int> nodes;
+  for (int node = begin; node < end; node += step) nodes.push_back(node);
+  return nodes;
+}
+
+void apply(const ExclusionCase& exclusion, Fixture& f) {
+  for (const int node : exclusion.broken)
+    f.overlay.network().set_health(node, overlay::NodeHealth::kBrokenIn);
+  for (const int node : exclusion.disclosed) f.knowledge.disclose(node);
+  for (const int filter : exclusion.filters) f.knowledge.disclose_filter(filter);
+}
+
+// Everything the phase leaves behind that the two scan modes must agree on.
+struct PhaseState {
+  std::vector<overlay::NodeHealth> health;
+  std::vector<bool> filters_congested;
+  AttackOutcome outcome;
+  std::uint64_t next_draw = 0;
+};
+
+PhaseState run_phase(const ExclusionCase& exclusion, int budget,
+                     bool force_full_scan) {
+  Fixture f;
+  f.rng = common::Rng{0x5eedULL + static_cast<std::uint64_t>(budget)};
+  apply(exclusion, f);
+  common::set_force_full_scan(force_full_scan);
+  execute_congestion_phase(f.overlay, f.knowledge, budget, f.rng, f.outcome);
+  common::set_force_full_scan(false);
+
+  PhaseState state;
+  for (int node = 0; node < f.overlay.network().size(); ++node)
+    state.health.push_back(f.overlay.network().health(node));
+  for (int filter = 0; filter < f.overlay.filter_count(); ++filter)
+    state.filters_congested.push_back(f.overlay.filter_congested(filter));
+  state.outcome = f.outcome;
+  state.next_draw = f.rng.next();
+  return state;
+}
+
+// The rank-table spill-over against the forced O(N) reference, at the edges
+// of the exclusion set (first and last node, a contiguous run, half the
+// population, a dirty list one entry short of saturating and one already
+// saturated) and at every budget from zero to one past the congestable
+// population: scarce, exact, spill-over, whole-pool walk and surplus.
+TEST(Congestion, PhaseMatchesFullScanReferenceAtExclusionEdges) {
+  constexpr int kNodes = 200;  // Fixture's overlay; N/4 = 50 touches fit
+  const std::vector<ExclusionCase> cases{
+      {"none", {}, {}, {}},
+      {"first node broken", {0}, {}, {}},
+      {"first node disclosed", {}, {0}, {}},
+      {"last node broken", {kNodes - 1}, {}, {}},
+      {"last node disclosed", {}, {kNodes - 1}, {}},
+      {"contiguous run", node_range(60, 80), node_range(75, 95), {0, 9}},
+      {"about half disclosed", {1, 3, 5}, node_range(0, kNodes, 2), {4}},
+      {"dirty list one entry short of saturating", node_range(0, 49 * 4, 4),
+       {}, {}},
+      {"saturated before the phase", node_range(1, kNodes, 3), {}, {}},
+  };
+  for (const auto& exclusion : cases) {
+    SCOPED_TRACE(exclusion.name);
+    Fixture probe;
+    apply(exclusion, probe);
+    EXPECT_EQ(probe.overlay.network().health_scan_saturated(),
+              exclusion.broken.size() * 4 > kNodes);
+    int congestable = probe.knowledge.disclosed_filter_count();
+    for (int node = 0; node < kNodes; ++node)
+      if (probe.overlay.network().is_good(node)) ++congestable;
+
+    for (int budget = 0; budget <= congestable + 1; ++budget) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const PhaseState fast = run_phase(exclusion, budget, false);
+      const PhaseState reference = run_phase(exclusion, budget, true);
+      ASSERT_EQ(fast.health, reference.health);
+      ASSERT_EQ(fast.filters_congested, reference.filters_congested);
+      ASSERT_EQ(fast.outcome.congested_nodes, reference.outcome.congested_nodes);
+      ASSERT_EQ(fast.outcome.congested_filters,
+                reference.outcome.congested_filters);
+      ASSERT_EQ(fast.outcome.disclosed_at_congestion,
+                reference.outcome.disclosed_at_congestion);
+      ASSERT_EQ(fast.outcome.congested_per_layer,
+                reference.outcome.congested_per_layer);
+      ASSERT_EQ(fast.outcome.broken_per_layer,
+                reference.outcome.broken_per_layer);
+      ASSERT_EQ(fast.next_draw, reference.next_draw);
+    }
+  }
 }
 
 }  // namespace
