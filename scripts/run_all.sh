@@ -34,10 +34,9 @@
 #
 # Pass --sampling to run the rare-event estimator pass: the sampling-smoke
 # acceptance tests (`ctest -L sampling-smoke`: trials=auto campaigns through
-# every estimator, checkpoint/crash/resume byte identity, distributed parity)
-# followed by the bench/perf_micro BM_Sampling* microbenches (sequential /
-# stratified / importance at a matched CI target, the BENCH_sampling.json
-# workload).
+# both estimators, checkpoint/crash/resume byte identity, distributed parity)
+# followed by the bench/perf_micro BM_Sampling* microbenches (sequential and
+# stratified at a matched CI target, the BENCH_sampling.json workload).
 #
 # Pass --distributed to run the distributed-execution pass: the
 # distributed-smoke acceptance tests (`ctest -L distributed-smoke`: TCP

@@ -24,9 +24,9 @@ bool attempt_break_in(sosnet::SosOverlay& overlay, int node, double p_break,
 /// Dictated-outcome variant for conditioned sampling (sim/sampling.h): same
 /// bookkeeping and disclosure semantics as attempt_break_in, but the attempt
 /// succeeds iff `succeed` — no RNG draw is consumed and the per-layer
-/// hardening factor is ignored (the conditioned estimators require a uniform
-/// effective P_B and validate that upfront). Returns true when the node was
-/// newly broken into.
+/// hardening factor is ignored (the stratified estimator conditions on a
+/// uniform effective P_B across the servlet layer). Returns true when the
+/// node was newly broken into.
 bool force_break_in(sosnet::SosOverlay& overlay, int node, bool succeed,
                     AttackerKnowledge& knowledge, AttackOutcome& outcome);
 

@@ -300,19 +300,15 @@ sim::MonteCarloResult CampaignRunner::run_auto_point(
     return sim::sampling::run_sequential(design, sweep_attack_fn(spec_, point),
                                          config, rule);
   }
-  // Conditioned estimators: validate() pinned attacker == one-burst, and the
-  // benign faults ride the post-attack hook (the same attack-then-faults
-  // order sweep_attack_fn composes).
+  // Stratified: validate() pinned attacker == one-burst, and the benign
+  // faults ride the post-attack hook (the same attack-then-faults order
+  // sweep_attack_fn composes).
   const faults::FaultConfig fault_config = spec_.faults;
   const sim::sampling::PostAttackFn post_attack =
       [fault_config](sosnet::SosOverlay& overlay, common::Rng& rng) {
         faults::apply_steady_state_faults(fault_config, overlay, rng);
       };
-  if (auto_trials.estimator == "stratified") {
-    return sim::sampling::run_stratified(design, one_burst_attack(spec_, point),
-                                         config, rule, {}, post_attack);
-  }
-  return sim::sampling::run_importance(design, one_burst_attack(spec_, point),
+  return sim::sampling::run_stratified(design, one_burst_attack(spec_, point),
                                        config, rule, {}, post_attack);
 }
 
@@ -351,7 +347,6 @@ std::string CampaignRunner::sweep_row(const CampaignPoint& point, double model,
       // re-running the campaign reproduces these bytes without re-deriving
       // the stopping decision from scratch elsewhere.
       cells.push_back(std::to_string(mc->resolved_trials));
-      cells.push_back(fmt(mc->ess));
     }
   }
   return csv_line(cells);
@@ -363,7 +358,7 @@ std::string CampaignRunner::sweep_na_row(const CampaignPoint& point) const {
       point.mapping, std::to_string(point.layers), "NA"};
   if (mc_enabled()) {
     cells.insert(cells.end(), {"NA", "NA", "NA"});
-    if (spec_.auto_trials.enabled) cells.insert(cells.end(), {"NA", "NA"});
+    if (spec_.auto_trials.enabled) cells.push_back("NA");
   }
   return csv_line(cells);
 }
@@ -373,7 +368,7 @@ std::vector<std::string> CampaignRunner::sweep_headers() const {
   if (mc_enabled()) {
     headers.insert(headers.end(), {"P_S_mc", "mc_ci_lo", "mc_ci_hi"});
     if (spec_.auto_trials.enabled)
-      headers.insert(headers.end(), {"mc_trials_resolved", "mc_ess"});
+      headers.push_back("mc_trials_resolved");
   }
   return headers;
 }

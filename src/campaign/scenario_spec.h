@@ -49,7 +49,7 @@ struct ScenarioSpec {
     double ci = 0.05;        // target half-width (absolute, or relative to p̂)
     bool relative = false;
     int max_trials = 1 << 20;
-    std::string estimator = "sequential";  // sequential|stratified|importance
+    std::string estimator = "sequential";  // sequential|stratified
 
     /// Canonical `auto:...` rendering: fixed option order, every option
     /// explicit except `:rel` (present only when set). parse(render())

@@ -69,20 +69,17 @@ Figure ext_sampling_curve(const Params& params) {
   figure.x_label = "break-in budget N_T";
   figure.table = common::Table{
       {"NT", "P_S_model", "P_S_seq", "seq_lo", "seq_hi", "seq_trials",
-       "P_S_strat", "strat_lo", "strat_hi", "strat_trials", "P_S_is", "is_lo",
-       "is_hi", "is_trials", "is_ess", "naive_trials_needed", "saved_strat",
-       "saved_is"}};
+       "P_S_strat", "strat_lo", "strat_hi", "strat_trials",
+       "naive_trials_needed", "saved_strat"}};
 
   // Deep mode (mc_trials <= 0): the recording run that resolves the 1e-6
-  // tail. Any positive cap bounds all three estimators for quick passes.
+  // tail. Any positive cap bounds both estimators for quick passes.
   const bool deep = params.mc_trials <= 0;
   const int cap = deep ? (1 << 20) : params.mc_trials;
   // The naive baseline column is analytic, so the sequential run only
-  // demonstrates stopping; the importance run's modest gain here (the
-  // delivering k = 0 bin is not rare enough to need tilting) never earns a
-  // deep budget. Both stay bounded while stratified does the deep work.
+  // demonstrates stopping: it stays bounded while stratified does the deep
+  // work.
   const int sequential_cap = std::min(cap, 1 << 15);
-  const int importance_cap = std::min(cap, 1 << 16);
 
   // Paper-scale system (N = 10000, n = 100, L = 3, one-to-all) under a
   // heavy one-burst attack: N_C = 3000 congests the non-filter layers to
@@ -98,16 +95,12 @@ Figure ext_sampling_curve(const Params& params) {
   rule.ci_half_width = 0.25;
   rule.initial_trials = std::min(1024, cap);
 
-  sim::sampling::StratifiedOptions stratified_options;
-  stratified_options.pilot_per_stratum = std::clamp(cap / 16, 2, 32);
-
   common::Series seq_series{"P_S (sequential)", {}, {}};
   common::Series strat_series{"P_S (stratified)", {}, {}};
-  common::Series is_series{"P_S (importance)", {}, {}};
 
   struct Point {
     int nt = 0;
-    EstimatorRun seq, strat, is;
+    EstimatorRun seq, strat;
     double naive_needed = 0.0;
   };
   std::vector<Point> points;
@@ -132,14 +125,8 @@ Figure ext_sampling_curve(const Params& params) {
 
     sim::sampling::StoppingRule strat_rule = rule;
     strat_rule.max_trials = cap;
-    point.strat = wrap(sim::sampling::run_stratified(
-        design, attack, config, strat_rule, stratified_options));
-
-    sim::sampling::StoppingRule is_rule = rule;
-    is_rule.max_trials = importance_cap;
-    is_rule.initial_trials = std::min(rule.initial_trials, importance_cap);
-    point.is =
-        wrap(sim::sampling::run_importance(design, attack, config, is_rule));
+    point.strat = wrap(
+        sim::sampling::run_stratified(design, attack, config, strat_rule));
 
     // Matched-CI naive cost, read off the stratified run: the trials a
     // uniform sampler would need for a Wilson interval of the same
@@ -149,17 +136,15 @@ Figure ext_sampling_curve(const Params& params) {
           point.strat.result.p_success, point.strat.half, rule.z);
 
     const double model = core::OneBurstModel::p_success(design, attack);
-    // Each estimator's saved ratio is priced against its OWN achieved
+    // The saved ratio is priced against the stratified run's own achieved
     // precision (a zero-event capped run has no precision to price).
-    const auto saved = [&rule](const EstimatorRun& run) {
-      if (run.result.p_success <= 0.0 || run.half <= 0.0 ||
-          run.result.resolved_trials == 0)
-        return std::string{"-"};
-      const double naive = sim::sampling::trials_for_wilson_half_width(
-          run.result.p_success, run.half, rule.z);
-      return detail::fmt(
-          naive / static_cast<double>(run.result.resolved_trials), 1);
-    };
+    const std::string saved =
+        point.naive_needed > 0.0 && point.strat.result.resolved_trials > 0
+            ? detail::fmt(point.naive_needed /
+                              static_cast<double>(
+                                  point.strat.result.resolved_trials),
+                          1)
+            : "-";
     figure.table.add_row(
         {std::to_string(nt), sci(model), sci(point.seq.result.p_success),
          sci(point.seq.result.ci.lo), sci(point.seq.result.ci.hi),
@@ -167,24 +152,17 @@ Figure ext_sampling_curve(const Params& params) {
          sci(point.strat.result.p_success), sci(point.strat.result.ci.lo),
          sci(point.strat.result.ci.hi),
          std::to_string(point.strat.result.resolved_trials),
-         sci(point.is.result.p_success), sci(point.is.result.ci.lo),
-         sci(point.is.result.ci.hi),
-         std::to_string(point.is.result.resolved_trials),
-         detail::fmt(point.is.result.ess, 1),
          point.naive_needed > 0.0 ? detail::fmt(point.naive_needed, 0) : "-",
-         saved(point.strat), saved(point.is)});
+         saved});
 
     seq_series.xs.push_back(nt);
     seq_series.ys.push_back(point.seq.result.p_success);
     strat_series.xs.push_back(nt);
     strat_series.ys.push_back(point.strat.result.p_success);
-    is_series.xs.push_back(nt);
-    is_series.ys.push_back(point.is.result.p_success);
     points.push_back(std::move(point));
   }
   figure.series.push_back(std::move(seq_series));
   figure.series.push_back(std::move(strat_series));
-  figure.series.push_back(std::move(is_series));
 
   // --- Structural checks (hold at any cap). ---
   {
@@ -215,16 +193,7 @@ Figure ext_sampling_curve(const Params& params) {
                !(run.result.ci.lo <= run.result.p_success &&
                  run.result.p_success <= run.result.ci.hi);
       };
-      // The stratified pilot pass runs before the cap check, so its floor
-      // (strata x max(pilot, per-stratum minimum)) is part of the
-      // admissible budget.
-      const int pilot_floor =
-          static_cast<int>(point.strat.result.strata.size()) *
-          std::max(stratified_options.pilot_per_stratum,
-                   stratified_options.min_per_stratum);
-      if (bad(point.seq, sequential_cap) ||
-          bad(point.strat, std::max(cap, pilot_floor)) ||
-          bad(point.is, importance_cap)) {
+      if (bad(point.seq, sequential_cap) || bad(point.strat, cap)) {
         accounting_ok = false;
         detail_text = "violated at NT=" + std::to_string(point.nt);
       }
@@ -235,7 +204,7 @@ Figure ext_sampling_curve(const Params& params) {
         accounting_ok, detail_text));
   }
   {
-    // Cross-estimator agreement wherever two estimators both resolved: the
+    // Cross-estimator agreement wherever both estimators resolved: the
     // intervals (padded by each other's half-width) must overlap. Rungs
     // where a capped run saw no events are skipped — at small caps the
     // check can be vacuous, in the deep run it bites on every rung the
@@ -244,20 +213,15 @@ Figure ext_sampling_curve(const Params& params) {
     int compared = 0;
     std::string detail_text;
     for (const Point& point : points) {
-      const EstimatorRun* runs[] = {&point.seq, &point.strat, &point.is};
-      for (int a = 0; a < 3; ++a) {
-        for (int b = a + 1; b < 3; ++b) {
-          if (!comparable(*runs[a]) || !comparable(*runs[b])) continue;
-          ++compared;
-          const double gap = std::abs(runs[a]->result.p_success -
-                                      runs[b]->result.p_success);
-          if (gap > 2.0 * (runs[a]->half + runs[b]->half)) {
-            agree = false;
-            detail_text = "NT=" + std::to_string(point.nt) + ": " +
-                          sci(runs[a]->result.p_success) + " vs " +
-                          sci(runs[b]->result.p_success);
-          }
-        }
+      if (!comparable(point.seq) || !comparable(point.strat)) continue;
+      ++compared;
+      const double gap =
+          std::abs(point.seq.result.p_success - point.strat.result.p_success);
+      if (gap > 2.0 * (point.seq.half + point.strat.half)) {
+        agree = false;
+        detail_text = "NT=" + std::to_string(point.nt) + ": " +
+                      sci(point.seq.result.p_success) + " vs " +
+                      sci(point.strat.result.p_success);
       }
     }
     if (agree)
@@ -327,20 +291,14 @@ Figure ext_sampling_curve(const Params& params) {
   figure.notes.push_back(
       "stopping rule: relative half-width <= 0.25 of the estimate at z=1.96; "
       "caps " + std::to_string(cap) + " (stratified) / " +
-      std::to_string(sequential_cap) + " (sequential) / " +
-      std::to_string(importance_cap) +
-      " (importance); mc_trials <= 0 selects the deep 2^20 recording run "
+      std::to_string(sequential_cap) +
+      " (sequential); mc_trials <= 0 selects the deep 2^20 recording run "
       "that arms the acceptance checks");
   figure.notes.push_back(
       "naive_trials_needed is analytic (trials_for_wilson_half_width at the "
       "stratified estimate and achieved half-width), not a timed run; "
       "resolved trial counts are seed-deterministic, so this table is "
       "byte-stable across machines and thread counts");
-  figure.notes.push_back(
-      "importance sampling's defensive mixture earns little here (the "
-      "delivering K=0 bin keeps ~1-6% prior mass, so the likelihood ratio "
-      "stays near 1); it is reported with its ESS as the honest negative "
-      "result");
   return figure;
 }
 

@@ -12,23 +12,22 @@ namespace sos::sim {
 namespace internal {
 
 void run_trial(const core::SosDesign& design, const AttackFn& attack,
-               const MonteCarloConfig& config, int trial, TrialContext& context,
-               TrialRecord& record, std::int16_t* hop_slots) {
+               const MonteCarloConfig& config, std::uint64_t seed,
+               TrialContext& context, TrialRecord& record,
+               std::int16_t* hop_slots) {
   // Distinct deterministic streams per trial: one for the topology build,
   // one for attack + walks.
-  const std::uint64_t trial_seed =
-      config.seed ^ common::mix64(0x7261696c5ull + static_cast<std::uint64_t>(trial));
   if (!context.overlay || context.built_from != &design) {
-    context.overlay.emplace(design, trial_seed);
+    context.overlay.emplace(design, seed);
     context.built_from = &design;
   } else {
     // Outside Chord mode the ring ids never influence an outcome, so the
     // rebuild skips re-deriving them.
-    context.overlay->rebuild(trial_seed, context.workspace,
+    context.overlay->rebuild(seed, context.workspace,
                              /*reseed_ids=*/config.route_via_chord);
   }
   sosnet::SosOverlay& overlay = *context.overlay;
-  common::Rng rng{common::mix64(trial_seed)};
+  common::Rng rng{common::mix64(seed)};
 
   const auto outcome = attack(overlay, rng);
   int broken_sos = 0, congested_sos = 0;
@@ -58,6 +57,44 @@ void run_trial(const core::SosDesign& design, const AttackFn& attack,
   record.delivered = delivered;
   record.success_rate = static_cast<double>(delivered) /
                         static_cast<double>(config.walks_per_trial);
+}
+
+void for_each_trial(
+    const MonteCarloConfig& config, int begin, int end,
+    std::vector<TrialContext>& contexts,
+    const std::function<void(int trial, TrialContext& context)>& body) {
+  const int count = end - begin;
+  if (count <= 0) return;
+
+  int threads = config.threads;
+  if (threads != 1) {
+    ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
+    if (threads <= 0) threads = pool.size();
+    threads = std::min({threads, pool.size(), count});
+    if (threads > 1) {
+      if (static_cast<int>(contexts.size()) < threads)
+        contexts.resize(static_cast<std::size_t>(threads));
+      // Chunked sharding: each scheduling unit is a block of consecutive
+      // trials, so a worker's persistent overlay stays cache-resident across
+      // the block instead of interleaving with other workers trial-by-trial
+      // (at N in the millions the overlay state is the working set). Records
+      // stay trial-indexed and the reduction runs in fixed trial order, so
+      // results are bit-identical for any chunk size or thread count.
+      const int chunk = std::clamp(count / (threads * 4), 1, 64);
+      const int blocks = (count + chunk - 1) / chunk;
+      pool.parallel_for(blocks, threads, [&](int block, int worker) {
+        const int block_begin = begin + block * chunk;
+        const int block_end = std::min(block_begin + chunk, end);
+        auto& context = contexts[static_cast<std::size_t>(worker)];
+        for (int trial = block_begin; trial < block_end; ++trial)
+          body(trial, context);
+      });
+      return;
+    }
+  }
+
+  if (contexts.empty()) contexts.resize(1);
+  for (int trial = begin; trial < end; ++trial) body(trial, contexts[0]);
 }
 
 MonteCarloResult reduce_in_trial_order(const MonteCarloConfig& config,
@@ -123,51 +160,19 @@ MonteCarloResult run_monte_carlo(const core::SosDesign& design,
 
   std::vector<internal::TrialRecord> records(
       static_cast<std::size_t>(config.trials));
+  const std::size_t walks_per_trial =
+      static_cast<std::size_t>(config.walks_per_trial);
   std::vector<std::int16_t> hops(static_cast<std::size_t>(config.trials) *
-                                 static_cast<std::size_t>(config.walks_per_trial));
-
-  int threads = config.threads;
-  if (threads != 1) {
-    ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
-    if (threads <= 0) threads = pool.size();
-    threads = std::min({threads, pool.size(), config.trials});
-    if (threads > 1) {
-      std::vector<internal::TrialContext> contexts(
-          static_cast<std::size_t>(threads));
-      // Chunked sharding: each scheduling unit is a block of consecutive
-      // trials, so a worker's persistent overlay stays cache-resident across
-      // the block instead of interleaving with other workers trial-by-trial
-      // (at N in the millions the overlay state is the working set). Records
-      // stay trial-indexed and the reduction runs in fixed trial order, so
-      // results are bit-identical for any chunk size or thread count.
-      const int chunk =
-          std::clamp(config.trials / (threads * 4), 1, 64);
-      const int blocks = (config.trials + chunk - 1) / chunk;
-      pool.parallel_for(blocks, threads, [&](int block, int worker) {
-        const int begin = block * chunk;
-        const int end = std::min(begin + chunk, config.trials);
-        auto& context = contexts[static_cast<std::size_t>(worker)];
-        for (int trial = begin; trial < end; ++trial) {
-          internal::run_trial(
-              design, attack, config, trial, context,
-              records[static_cast<std::size_t>(trial)],
-              hops.data() +
-                  static_cast<std::size_t>(trial) *
-                      static_cast<std::size_t>(config.walks_per_trial));
-        }
+                                 walks_per_trial);
+  std::vector<internal::TrialContext> contexts;
+  internal::for_each_trial(
+      config, 0, config.trials, contexts,
+      [&](int trial, internal::TrialContext& context) {
+        internal::run_trial(
+            design, attack, config, internal::trial_seed(config, trial),
+            context, records[static_cast<std::size_t>(trial)],
+            hops.data() + static_cast<std::size_t>(trial) * walks_per_trial);
       });
-      return internal::reduce_in_trial_order(config, records, hops);
-    }
-  }
-
-  internal::TrialContext context;
-  for (int trial = 0; trial < config.trials; ++trial) {
-    internal::run_trial(design, attack, config, trial, context,
-                        records[static_cast<std::size_t>(trial)],
-                        hops.data() + static_cast<std::size_t>(trial) *
-                                          static_cast<std::size_t>(
-                                              config.walks_per_trial));
-  }
   return internal::reduce_in_trial_order(config, records, hops);
 }
 

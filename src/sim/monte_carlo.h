@@ -78,15 +78,11 @@ struct MonteCarloResult {
   //     wilson (both deterministic functions of the existing counters).
   std::uint64_t resolved_trials = 0;  // trials actually executed
   /// Wilson score interval on deliveries/walks for the naive and sequential
-  /// estimators (the stopping-rule CI); mirrors `ci` for the stratified and
-  /// importance-sampling estimators, where a raw-proportion interval does
-  /// not apply.
+  /// estimators (the stopping-rule CI); mirrors `ci` for the stratified
+  /// estimator, where a raw-proportion interval does not apply.
   common::Interval wilson;
-  bool stopped_by_rule = false;  // sequential: rule satisfied before the cap
-  bool capped = false;           // sequential: max_trials hit, rule unmet
-  double ess = 0.0;              // importance sampling: (Σw)²/Σw²; 0 = n/a
-  double weight_cv = 0.0;        // importance sampling: stddev(w)/mean(w)
-  bool degenerate_weights = false;  // importance sampling: ESS collapsed
+  bool stopped_by_rule = false;  // rule satisfied before the cap
+  bool capped = false;           // max_trials hit, rule unmet
   std::vector<StratumTally> strata;  // stratified: per-stratum tallies
   std::string estimator_note;    // human-readable estimator diagnostics
 };

@@ -20,20 +20,16 @@
 //      with exact pmf weights, trials are allocated by Neyman allocation
 //      from a pilot pass, and the estimate recombines as Σ W_h p̂_h with
 //      Var = Σ W_h² σ_h² / n_h.
-//   3. Importance sampling — bias the compromised-servlet count toward the
-//      delivery-friendly left tail with a defensive mixture proposal
-//      q(k) = (1-ε)·P(K=k) + ε·Uniform{0..m} (weights bounded by 1/(1-ε))
-//      and reweight per trial with the likelihood ratio. Reports effective
-//      sample size and weight-degeneracy diagnostics so a bad proposal is
-//      detected, not silently trusted.
 //
-// The conditioned estimators (2, 3) are exact under per-layer hardening:
-// every servlet shares the same effective break-in probability (P_B x the
-// last layer's factor), and non-servlet attempts keep drawing their own
-// per-layer Bernoulli outcomes in-trial. All estimators fill the
-// MonteCarloResult estimator fields (resolved_trials, wilson, ess, strata,
-// estimator_note, ...); a zero-variance stratum or degenerate weight set
-// produces a diagnostic note, never a NaN.
+// Both estimators run their trials on the plain engine (sim/trial_engine.h):
+// a stratum is an attack function that draws its conditioned servlet counts
+// from the trial's own stream before attacking. Conditioning is exact under
+// per-layer hardening: every servlet shares the same effective break-in
+// probability (P_B x the last layer's factor), and non-servlet attempts keep
+// drawing their own per-layer Bernoulli outcomes in-trial. Both estimators
+// fill the MonteCarloResult estimator fields (resolved_trials, wilson,
+// strata, estimator_note, ...); a zero-variance stratum produces a
+// diagnostic note, never a NaN.
 #pragma once
 
 #include <functional>
@@ -47,7 +43,7 @@ namespace sos::sim::sampling {
 /// When a sequential estimator may stop. The half-width target applies to
 /// the estimator's own interval: the Wilson score interval on raw
 /// deliveries/walks for run_sequential, the recombined normal-approximation
-/// interval for run_stratified / run_importance.
+/// interval for run_stratified.
 struct StoppingRule {
   double ci_half_width = 0.05;  // target half-width
   bool relative = false;        // target is ci_half_width * p̂ instead
@@ -69,20 +65,14 @@ struct StratifiedOptions {
   /// Number of compromised-servlet-count bins. Boundaries sit at z-scores
   /// of the count's mean, biased toward the left (delivery-friendly) tail;
   /// duplicate and zero-mass bins are dropped, so this is an upper bound.
+  /// The stopping rule's max_trials / 2 bounds it too.
   int strata = 10;
-  int pilot_per_stratum = 32;  // Neyman pilot pass size
-  int min_per_stratum = 8;     // floor kept by every allocation round
+  /// Neyman pilot pass size per stratum. The pilot honours the stopping
+  /// rule's cap: each stratum pilots clamp(max_trials / strata, 2, this).
+  int pilot_per_stratum = 32;
 };
 
-struct ImportanceOptions {
-  /// ε: proposal mass on Uniform{0..m}. The defensive mixture bounds every
-  /// likelihood ratio by 1/(1-ε).
-  double mixture_uniform_mass = 0.5;
-  /// Flag result.degenerate_weights when ESS < this fraction of the trials.
-  double degenerate_ess_fraction = 0.05;
-};
-
-/// Hook run after the (conditioned) attack and before the delivery walks —
+/// Hook run after the conditioned attack and before the delivery walks —
 /// the slot campaign sweeps use for steady-state benign faults.
 using PostAttackFn = std::function<void(sosnet::SosOverlay&, common::Rng&)>;
 
@@ -96,20 +86,13 @@ MonteCarloResult run_sequential(const core::SosDesign& design,
                                 const StoppingRule& rule);
 
 /// Stratified estimator over the one-burst attacker's compromised-servlet
-/// count.
+/// count. config.trials is ignored; resolved_trials never exceeds
+/// rule.max_trials.
 MonteCarloResult run_stratified(const core::SosDesign& design,
                                 const core::OneBurstAttack& attack,
                                 const MonteCarloConfig& config,
                                 const StoppingRule& rule,
                                 const StratifiedOptions& options = {},
-                                const PostAttackFn& post_attack = {});
-
-/// Importance-sampling estimator biasing the compromised-servlet count.
-MonteCarloResult run_importance(const core::SosDesign& design,
-                                const core::OneBurstAttack& attack,
-                                const MonteCarloConfig& config,
-                                const StoppingRule& rule,
-                                const ImportanceOptions& options = {},
                                 const PostAttackFn& post_attack = {});
 
 /// Smallest (real-valued) trial count whose Wilson interval at proportion p

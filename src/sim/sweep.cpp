@@ -63,8 +63,8 @@ void SweepRunner::run_point(Point& point, WorkerState& worker) {
                          static_cast<std::size_t>(config.walks_per_trial),
                      0);
   for (int trial = 0; trial < config.trials; ++trial) {
-    internal::run_trial(point.design, point.attack, config, trial,
-                        worker.context,
+    internal::run_trial(point.design, point.attack, config,
+                        internal::trial_seed(config, trial), worker.context,
                         worker.records[static_cast<std::size_t>(trial)],
                         worker.hops.data() +
                             static_cast<std::size_t>(trial) *

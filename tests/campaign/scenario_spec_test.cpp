@@ -226,7 +226,7 @@ TEST(ScenarioSpecCanonical, SweepRoundTripWithFaultsAndSuccessive) {
 constexpr const char* kAutoAccepted =
     "'default', a non-negative trial count, or "
     "auto:ci=<half-width>[:rel][:max=<trials>]"
-    "[:estimator=<sequential|stratified|importance>]";
+    "[:estimator=<sequential|stratified>]";
 
 TEST(ScenarioSpecAutoTrials, ParsesTheFullOptionSet) {
   const auto spec = parse(kSweepHeader + "mc_trials = auto:ci=0.25\n");
@@ -239,11 +239,11 @@ TEST(ScenarioSpecAutoTrials, ParsesTheFullOptionSet) {
 
   const auto full = parse(
       kSweepHeader +
-      "mc_trials = auto:ci=0.5:rel:max=4096:estimator=importance\n");
+      "mc_trials = auto:ci=0.5:rel:max=4096:estimator=stratified\n");
   EXPECT_TRUE(full.auto_trials.relative);
   EXPECT_DOUBLE_EQ(full.auto_trials.ci, 0.5);
   EXPECT_EQ(full.auto_trials.max_trials, 4096);
-  EXPECT_EQ(full.auto_trials.estimator, "importance");
+  EXPECT_EQ(full.auto_trials.estimator, "stratified");
 }
 
 TEST(ScenarioSpecAutoTrials, GoldenGrammarErrors) {
@@ -278,15 +278,20 @@ TEST(ScenarioSpecAutoTrials, GoldenValidationErrors) {
       kSweepHeader + "mc_trials = auto:ci=0.25:estimator=bayes\n",
       "ScenarioSpec: bad mc_trials "
       "'auto:ci=0.25:max=1048576:estimator=bayes' (accepted: estimator "
-      "sequential, stratified, importance)");
+      "sequential, stratified)");
+  expect_rejects(
+      kSweepHeader + "mc_trials = auto:ci=0.25:estimator=importance\n",
+      "ScenarioSpec: bad mc_trials "
+      "'auto:ci=0.25:max=1048576:estimator=importance' (accepted: "
+      "estimator sequential, stratified)");
   expect_rejects(
       kSweepHeader +
           "attacker = successive\nrounds = 2\n"
           "mc_trials = auto:ci=0.25:estimator=stratified\n",
       "ScenarioSpec: bad mc_trials "
       "'auto:ci=0.25:max=1048576:estimator=stratified' (accepted: "
-      "stratified/importance estimators with attacker = one-burst (they "
-      "condition on the one-burst compromised-servlet count))");
+      "the stratified estimator with attacker = one-burst (it conditions "
+      "on the one-burst compromised-servlet count))");
   expect_rejects(
       "campaign = t\nfigures = fig4a\nmc_trials = auto:ci=0.25\n",
       "ScenarioSpec: bad mc_trials "

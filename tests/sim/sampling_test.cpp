@@ -1,13 +1,14 @@
-// sim::sampling — sequential stopping, stratified and importance-sampling
-// estimators: determinism contracts (a stopped run is bit-identical to a
-// fixed run of the resolved length at any thread count), stopping-rule
-// properties, the exact servlet-compromise law, and the degenerate-case
-// tripwires (zero-variance strata / collapsed weights must produce a
-// diagnostic note, never a NaN).
+// sim::sampling — sequential stopping and stratified estimators:
+// determinism contracts (a stopped run is bit-identical to a fixed run of the
+// resolved length at any thread count), stopping-rule properties, the trial
+// cap, the post-attack hook, the exact servlet-compromise law, and the
+// degenerate-case tripwire (zero-variance strata must produce a diagnostic
+// note, never a NaN).
 #include "sim/sampling.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -144,9 +145,6 @@ TEST(SamplingSequential, FixedTrialResultKeepsEstimatorFieldsInert) {
   EXPECT_EQ(result.wilson.hi, wilson.hi);
   EXPECT_FALSE(result.stopped_by_rule);
   EXPECT_FALSE(result.capped);
-  EXPECT_EQ(result.ess, 0.0);
-  EXPECT_EQ(result.weight_cv, 0.0);
-  EXPECT_FALSE(result.degenerate_weights);
   EXPECT_TRUE(result.strata.empty());
   EXPECT_TRUE(result.estimator_note.empty());
 }
@@ -269,30 +267,81 @@ TEST(SamplingStratified, AgreesWithTheNaiveEstimatorAndIsThreadStable) {
   }
 }
 
-TEST(SamplingImportance, AgreesWithTheNaiveEstimatorAndReportsESS) {
+TEST(SamplingStratified, PilotPassHonoursTheTrialCap) {
+  // Ten strata piloted with 32 trials each would need 320 trials; every cap
+  // below that must still bound the resolved count, pilot pass included.
   const auto design = small_design();
   const core::OneBurstAttack attack{200, 150, 0.5};
   MonteCarloConfig config;
-  config.walks_per_trial = 4;
-  config.seed = 0x1517ULL;
+  config.walks_per_trial = 2;
   config.threads = 1;
+  for (const int cap : {4, 20, 64}) {
+    // A relative 1e-6 target is unreachable, so every run ends at the cap.
+    StoppingRule rule;
+    rule.relative = true;
+    rule.ci_half_width = 1e-6;
+    rule.initial_trials = 2;
+    rule.max_trials = cap;
+    const auto result = run_stratified(design, attack, config, rule);
+    EXPECT_TRUE(result.capped) << "cap=" << cap;
+    EXPECT_EQ(result.resolved_trials, static_cast<std::uint64_t>(cap));
+    std::uint64_t per_stratum_total = 0;
+    for (const auto& tally : result.strata) {
+      EXPECT_GE(tally.trials, 2u) << "cap=" << cap;
+      per_stratum_total += tally.trials;
+    }
+    EXPECT_EQ(per_stratum_total, result.resolved_trials) << "cap=" << cap;
+  }
+}
+
+TEST(SamplingStratified, PostAttackHookRunsOncePerTrialOnEveryWorker) {
+  // A hook that flaps every filter after the conditioned attack: no walk can
+  // reach the target, so P_S is exactly 0 where the hook-free run delivers.
+  const auto design = small_design();
+  const core::OneBurstAttack attack{200, 150, 0.5};
   StoppingRule rule;
-  rule.ci_half_width = 0.02;
-  rule.initial_trials = 128;
-  rule.max_trials = 1 << 12;
+  rule.ci_half_width = 0.05;
+  rule.initial_trials = 16;
+  rule.max_trials = 256;
+  ThreadPool pool{4};
+  const auto run = [&](int threads, std::atomic<int>* calls) {
+    MonteCarloConfig config;
+    config.walks_per_trial = 4;
+    config.seed = 0x400cULL;
+    config.threads = threads;
+    config.pool = &pool;
+    PostAttackFn hook;
+    if (calls != nullptr) {
+      hook = [calls](sosnet::SosOverlay& overlay, common::Rng&) {
+        calls->fetch_add(1);
+        for (int filter = 0; filter < overlay.filter_count(); ++filter)
+          overlay.substrate().set_filter_flapped(filter, true);
+      };
+    }
+    return run_stratified(design, attack, config, rule, {}, hook);
+  };
 
-  const auto importance = run_importance(design, attack, config, rule);
-  EXPECT_TRUE(std::isfinite(importance.p_success));
-  EXPECT_GT(importance.ess, 0.0);
-  EXPECT_LE(importance.ess,
-            static_cast<double>(importance.resolved_trials) + 1e-9);
+  std::atomic<int> inline_calls{0};
+  const auto hooked = run(1, &inline_calls);
+  EXPECT_EQ(static_cast<std::uint64_t>(inline_calls.load()),
+            hooked.resolved_trials);
+  EXPECT_EQ(hooked.p_success, 0.0);
+  EXPECT_EQ(hooked.deliveries, 0u);
+  EXPECT_GT(run(1, nullptr).p_success, 0.0);
 
-  MonteCarloConfig naive = config;
-  naive.trials = 3000;
-  const auto reference = run_monte_carlo(design, one_burst_fn(attack), naive);
-  const double slack =
-      2.0 * (0.5 * importance.ci.width() + 0.5 * reference.ci.width());
-  EXPECT_NEAR(importance.p_success, reference.p_success, slack + 1e-12);
+  std::atomic<int> pool_calls{0};
+  const auto pooled = run(4, &pool_calls);
+  EXPECT_EQ(pool_calls.load(), inline_calls.load());
+  EXPECT_EQ(pooled.p_success, hooked.p_success);
+  EXPECT_EQ(pooled.ci.lo, hooked.ci.lo);
+  EXPECT_EQ(pooled.ci.hi, hooked.ci.hi);
+  EXPECT_EQ(pooled.resolved_trials, hooked.resolved_trials);
+  EXPECT_EQ(pooled.mean_broken, hooked.mean_broken);
+  EXPECT_EQ(pooled.mean_congested, hooked.mean_congested);
+  EXPECT_EQ(pooled.mean_disclosed, hooked.mean_disclosed);
+  ASSERT_EQ(pooled.strata.size(), hooked.strata.size());
+  for (std::size_t h = 0; h < pooled.strata.size(); ++h)
+    EXPECT_EQ(pooled.strata[h].trials, hooked.strata[h].trials);
 }
 
 TEST(SamplingTripwires, ZeroVarianceStrataProduceANoteNotANaN) {
@@ -317,28 +366,6 @@ TEST(SamplingTripwires, ZeroVarianceStrataProduceANoteNotANaN) {
     EXPECT_TRUE(std::isfinite(tally.p_hat));
     EXPECT_TRUE(std::isfinite(tally.stddev));
   }
-}
-
-TEST(SamplingTripwires, CollapsedWeightsRaiseTheDegeneracyFlag) {
-  const auto design = small_design();
-  const core::OneBurstAttack attack{200, 150, 0.5};
-  MonteCarloConfig config;
-  config.walks_per_trial = 2;
-  config.threads = 1;
-  StoppingRule rule;
-  rule.ci_half_width = 0.05;
-  rule.initial_trials = 64;
-  rule.max_trials = 256;
-  ImportanceOptions options;
-  // An ESS floor at 100% of the trials: any weight spread at all trips the
-  // diagnostic, which must arrive as a note + flag, never a NaN.
-  options.degenerate_ess_fraction = 1.0;
-  const auto result =
-      run_importance(design, attack, config, rule, options);
-  EXPECT_TRUE(result.degenerate_weights);
-  EXPECT_NE(result.estimator_note.find("degenerate"), std::string::npos);
-  EXPECT_TRUE(std::isfinite(result.p_success));
-  EXPECT_TRUE(std::isfinite(result.weight_cv));
 }
 
 TEST(SamplingRules, StoppingRuleValidation) {

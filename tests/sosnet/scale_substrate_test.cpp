@@ -108,9 +108,6 @@ void expect_all_fields_identical(const sim::MonteCarloResult& fast,
   EXPECT_EQ(fast.wilson.hi, reference.wilson.hi);
   EXPECT_EQ(fast.stopped_by_rule, reference.stopped_by_rule);
   EXPECT_EQ(fast.capped, reference.capped);
-  EXPECT_EQ(fast.ess, reference.ess);
-  EXPECT_EQ(fast.weight_cv, reference.weight_cv);
-  EXPECT_EQ(fast.degenerate_weights, reference.degenerate_weights);
   ASSERT_EQ(fast.strata.size(), reference.strata.size());
   for (std::size_t i = 0; i < fast.strata.size(); ++i) {
     SCOPED_TRACE("stratum " + std::to_string(i));
@@ -181,7 +178,6 @@ TEST(ScaleSubstrate, StratifiedOneBurstIsBitIdenticalToFullReset) {
   sim::sampling::StratifiedOptions options;
   options.strata = 4;
   options.pilot_per_stratum = 2;
-  options.min_per_stratum = 2;
   const auto run = [&](bool force_full_scan) {
     const ForceFullScanGuard guard{force_full_scan};
     return sim::sampling::run_stratified(design, attack, sampling_config(),
