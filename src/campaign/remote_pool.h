@@ -1,62 +1,23 @@
 // RemoteWorkerPool — the campaign engine's out-of-process executor.
 //
-// Workers are `sos_campaign serve` processes that talk to the coordinator
-// over TCP (common::Socket/Listener): forked loopback children by default,
-// plus any external serve processes that connect. They register with a
-// HELLO/WELCOME handshake, exchange heartbeats, pull work-stealing shard
-// assignments, and stream finished point frames back. The coordinator
-// durably checkpoints each frame into the same content-addressed
-// ResultStore the in-process CampaignRunner uses.
+// Workers are `sos_campaign serve` processes talking TCP to the
+// coordinator: forked loopback children by default, plus any external
+// serve processes that connect. They register (HELLO/WELCOME), heartbeat,
+// pull work-stealing shards, compute each point IN ORDER via
+// CampaignRunner::compute_point_bytes — the in-process unit of work, which
+// is what keeps the store byte-identical across executors — and stream
+// results back over the authenticated transport (remote_protocol v2).
 //
-// Execution model:
-//
-//   * The listener binds in the constructor (ephemeral port by default),
-//     so port() is valid before run() — tests and external workers can
-//     learn where to connect first.
-//   * run() forks `local_workers` loopback serve workers (they ignore
-//     their Subprocess pipe and talk TCP like any remote peer), then
-//     drives a single-threaded poll loop over the listener and every
-//     session socket.
-//   * Work-stealing: whichever registered worker has no outstanding
-//     assignment is handed the next `points_per_assign` eligible pending
-//     points. Workers compute IN ORDER via
-//     CampaignRunner::compute_point_bytes — the same unit of work as the
-//     in-process runner — which is what makes the store byte-identical
-//     across executors.
-//   * Liveness is symmetric heartbeats plus a per-point progress deadline.
-//     A session silent past `heartbeat_timeout_s` is evicted; a session
-//     that keeps heartbeating but delivers no RESULT for
-//     `point_deadline_s` (a worker stuck inside compute_point_bytes, whose
-//     heartbeat thread never stops) is closed. Either way its first
-//     unfinished point (the poison point, since workers compute in order)
-//     is charged to the AttemptLedger, the innocent remainder requeues
-//     free, and a point charged past max_retries quarantines.
-//   * Partition tolerance: an evicted worker may reconnect and resume
-//     (fresh HELLO, fresh assignments). A result frame that arrives late
-//     — after eviction, even after the point was recomputed elsewhere —
-//     is accepted if the point is still pending and ignored if done;
-//     duplicate delivery is harmless because the store is
-//     content-addressed and put() is idempotent.
-//   * Local children that exit (chaos SIGKILL, bad exit) are reaped and
-//     respawned while unfinished work remains; a child whose session is
-//     evicted for silence or closed at its deadline (SIGSTOP hang, stuck
-//     compute) is SIGKILLed first.
-//
-//   * Transport is authenticated (remote_protocol v2): every frame both
-//     directions is sealed under a SipHash-2-4 MAC. The handshake runs
-//     under the pre-shared base key, everything after under a per-session
-//     key seeded by the HELLO challenge. v1 peers and wrong-key peers get
-//     typed REJECTs; a mid-session MAC failure evicts the session.
-//   * The coordinator itself is crash-recoverable: every ledger mutation
-//     is journaled atomically into the store
-//     (<store>/coordinator.journal), so a SIGKILLed coordinator restarted
-//     on the same port with resume=true picks up charges where it died,
-//     surviving workers reconnect, and the settled store is byte-identical
-//     to an uninterrupted run. The journal is removed on settle.
-//
-// If no worker is registered for `registration_timeout_s` while work
-// remains, run() throws FleetUnreachableError; the CLI maps it (and a
-// serve worker that can never connect) to exit code 4.
+// Every protocol decision lives in campaign::Coordinator (coordinator.h),
+// a core with no IO and no clock. run() is its driver: it forks and
+// respawns `local_workers` loopback children, polls the listener (bound in
+// the constructor, so port() is valid before run()) and every session,
+// feeds bytes, hang-ups and ticks to the core, applies the actions that
+// come back, and on settle half-closes and drains every session within a
+// 2 s grace window. If no worker is registered for
+// `registration_timeout_s` while work remains, run() throws
+// FleetUnreachableError; the CLI maps it (and a serve worker that can
+// never connect) to exit code 4.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +60,7 @@ struct RemotePoolOptions {
   double heartbeat_interval_s = 0.05;
   double heartbeat_timeout_s = 2.0;
 
-  /// Per-point progress deadline: restarted on every ASSIGN and RESULT, so
-  /// it bounds single-point compute time, not whole-shard runtime. A
+  /// Per-point progress deadline, restarted on every ASSIGN and RESULT: a
   /// session with work outstanding past it is closed (its local child
   /// SIGKILLed) and its poison point charged, however well it heartbeats.
   double point_deadline_s = 300.0;
@@ -114,18 +74,15 @@ struct RemotePoolOptions {
   /// workers' reconnect loops find the new coordinator.
   std::uint16_t listen_port = 0;
 
-  /// Pre-shared key file for the v2 authenticated transport; empty selects
-  /// the built-in default material (loopback fleets work out of the box).
-  /// Forked loopback workers inherit it; external serve workers must pass
-  /// the same file via --key-file.
+  /// Pre-shared key file for the v2 authenticated transport (empty: the
+  /// built-in default material). External serve workers must pass the same
+  /// file via --key-file.
   std::string key_file;
 
-  /// Load the coordinator journal (attempt/charge state persisted into the
-  /// store on every ledger mutation) left by a crashed coordinator, so the
-  /// restarted run resumes charging where the dead one stopped instead of
-  /// granting every poison point a fresh retry budget. A missing or
-  /// mismatched journal is ignored (fresh ledger); the journal is removed
-  /// once the campaign settles.
+  /// Load the journal a crashed coordinator left in the store, so charging
+  /// resumes where it stopped instead of granting every poison point a
+  /// fresh retry budget. A missing or mismatched journal is ignored; the
+  /// journal is removed once the campaign settles.
   bool resume = false;
 
   /// Retry/backoff/quarantine charging (see AttemptLedger).
@@ -160,14 +117,10 @@ class RemoteWorkerPool {
   const RemotePoolOptions& options() const noexcept { return options_; }
 
   /// Drives the campaign to a settled report (every point cached,
-  /// computed, or quarantined) across however many workers register.
-  /// Previously quarantined points count as pending and get a fresh set of
-  /// attempts. Worker faults — crashes, hangs, stuck points, dropped
-  /// connections, partitions, torn frames, duplicate delivery — are
-  /// charged/retried/quarantined, never fatal; report.retried counts
-  /// charged retries and degraded() flags quarantine. Throws
-  /// FleetUnreachableError if the fleet never shows up (or vanishes) for
-  /// registration_timeout_s.
+  /// computed, or quarantined); previously quarantined points get a fresh
+  /// set of attempts. Worker faults are charged, retried or quarantined,
+  /// never fatal. Throws FleetUnreachableError if the fleet never shows up
+  /// (or vanishes) for registration_timeout_s.
   CampaignReport run();
 
  private:
@@ -205,6 +158,10 @@ struct RemoteWorkerConfig {
   /// Pre-shared key file (must match the coordinator's); empty selects the
   /// built-in default material.
   std::string key_file;
+
+  /// Throws std::invalid_argument ("(accepted:)" style) on a non-positive
+  /// heartbeat interval or an invalid chaos config.
+  void validate() const;
 };
 
 int run_remote_worker(const RemoteWorkerConfig& config);

@@ -1,10 +1,10 @@
 #include "campaign/scenario_spec.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "common/files.h"
+#include "common/spec_grammar.h"
 #include "common/strings.h"
 #include "core/distribution.h"
 #include "core/mapping.h"
@@ -13,10 +13,15 @@ namespace sos::campaign {
 
 namespace {
 
+constexpr common::SpecGrammar kGrammar{"ScenarioSpec"};
+using common::fmt_double;
+using common::join_ints;
+using common::parse_name_list;
+using common::valid_name;
+
 [[noreturn]] void reject(const std::string& field, const std::string& value,
                          const std::string& accepted) {
-  throw std::invalid_argument("ScenarioSpec: bad " + field + " '" + value +
-                              "' (accepted: " + accepted + ")");
+  kGrammar.reject(field, value, accepted);
 }
 
 constexpr const char* kKnownKeys =
@@ -25,83 +30,6 @@ constexpr const char* kKnownKeys =
     "rounds, prior_knowledge, fault_node_mtbf, fault_node_mttr, "
     "fault_filter_flap_mtbf, fault_filter_flap_mttr, fault_lossy_fraction, "
     "fault_seed";
-
-long long parse_int(const std::string& key, const std::string& value) {
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') reject(key, value, "an integer");
-  return parsed;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0') reject(key, value, "a real number");
-  return parsed;
-}
-
-std::uint64_t parse_seed(const std::string& key, const std::string& value) {
-  if (value.empty() || value[0] == '-')
-    reject(key, value, "a non-negative integer, decimal or 0x hex");
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0')
-    reject(key, value, "a non-negative integer, decimal or 0x hex");
-  return parsed;
-}
-
-/// "1,2,4" or "1..8" (inclusive) or a mix: "1..3, 8".
-std::vector<int> parse_int_list(const std::string& key,
-                                const std::string& value) {
-  constexpr const char* kAccepted =
-      "comma-separated integers and lo..hi ranges, e.g. 1,2,4 or 1..8";
-  std::vector<int> out;
-  for (const auto& raw : common::split(value, ',')) {
-    const std::string item = common::trim(raw);
-    if (item.empty()) reject(key, value, kAccepted);
-    const auto dots = item.find("..");
-    if (dots == std::string::npos) {
-      out.push_back(static_cast<int>(parse_int(key, item)));
-      continue;
-    }
-    const std::string lo_text = common::trim(item.substr(0, dots));
-    const std::string hi_text = common::trim(item.substr(dots + 2));
-    if (lo_text.empty() || hi_text.empty()) reject(key, value, kAccepted);
-    const int lo = static_cast<int>(parse_int(key, lo_text));
-    const int hi = static_cast<int>(parse_int(key, hi_text));
-    if (lo > hi) reject(key, value, kAccepted);
-    for (int i = lo; i <= hi; ++i) out.push_back(i);
-  }
-  if (out.empty()) reject(key, value, kAccepted);
-  return out;
-}
-
-std::vector<std::string> parse_name_list(const std::string& value) {
-  std::vector<std::string> out;
-  for (const auto& raw : common::split(value, ',')) {
-    const std::string item = common::trim(raw);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-/// %.17g: enough digits that text -> double -> text round-trips exactly, so
-/// canonical() is a fixed point and digests are stable.
-std::string fmt_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string join_ints(const std::vector<int>& values) {
-  std::vector<std::string> parts;
-  parts.reserve(values.size());
-  for (const int v : values) parts.push_back(std::to_string(v));
-  return common::join(parts, ", ");
-}
 
 constexpr const char* kAutoTrialsAccepted =
     "'default', a non-negative trial count, or "
@@ -153,16 +81,6 @@ ScenarioSpec::AutoTrials parse_auto_trials(const std::string& value) {
   return out;
 }
 
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string ScenarioSpec::AutoTrials::render() const {
@@ -176,28 +94,8 @@ std::string ScenarioSpec::AutoTrials::render() const {
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   ScenarioSpec spec;
   bool mc_trials_set = false;
-  std::vector<std::string> seen;
-
-  for (const auto& raw_line : common::split(text, '\n')) {
-    std::string line{raw_line};
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = common::trim(line);
-    if (line.empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      reject("line", line,
-             "'key = value' lines, blank lines, and # comments");
-    const std::string key = common::trim(line.substr(0, eq));
-    const std::string value = common::trim(line.substr(eq + 1));
-    if (key.empty())
-      reject("line", line,
-             "'key = value' lines, blank lines, and # comments");
-    for (const auto& prior : seen)
-      if (prior == key) reject("duplicate key", key, "each key at most once");
-    seen.push_back(key);
-
+  kGrammar.for_each_entry(text, [&](const std::string& key,
+                                    const std::string& value) {
     if (key == "campaign") {
       spec.name = value;
     } else if (key == "mode") {
@@ -211,13 +109,13 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "figures") {
       spec.figures = parse_name_list(value);
     } else if (key == "n") {
-      spec.total_overlay = static_cast<int>(parse_int(key, value));
+      spec.total_overlay = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "sos") {
-      spec.sos_nodes = static_cast<int>(parse_int(key, value));
+      spec.sos_nodes = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "filters") {
-      spec.filters = static_cast<int>(parse_int(key, value));
+      spec.filters = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "p_break") {
-      spec.p_break = parse_double(key, value);
+      spec.p_break = kGrammar.parse_double(key, value);
     } else if (key == "mc_trials") {
       mc_trials_set = true;
       if (value == "default") {
@@ -226,44 +124,44 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         spec.auto_trials = parse_auto_trials(value);
         spec.mc_trials = 0;  // the rule, not a fixed count, drives MC points
       } else {
-        spec.mc_trials = static_cast<int>(parse_int(key, value));
+        spec.mc_trials = static_cast<int>(kGrammar.parse_int(key, value));
       }
     } else if (key == "mc_walks") {
-      spec.mc_walks = static_cast<int>(parse_int(key, value));
+      spec.mc_walks = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "seed") {
-      spec.seed = parse_seed(key, value);
+      spec.seed = kGrammar.parse_seed(key, value);
     } else if (key == "attacker") {
       spec.attacker = value;
     } else if (key == "layers") {
-      spec.layers = parse_int_list(key, value);
+      spec.layers = kGrammar.parse_int_list(key, value);
     } else if (key == "mappings") {
       spec.mappings = parse_name_list(value);
     } else if (key == "distribution") {
       spec.distribution = value;
     } else if (key == "break_in") {
-      spec.break_in = parse_int_list(key, value);
+      spec.break_in = kGrammar.parse_int_list(key, value);
     } else if (key == "congestion") {
-      spec.congestion = parse_int_list(key, value);
+      spec.congestion = kGrammar.parse_int_list(key, value);
     } else if (key == "rounds") {
-      spec.rounds = static_cast<int>(parse_int(key, value));
+      spec.rounds = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "prior_knowledge") {
-      spec.prior_knowledge = parse_double(key, value);
+      spec.prior_knowledge = kGrammar.parse_double(key, value);
     } else if (key == "fault_node_mtbf") {
-      spec.faults.node_mtbf = parse_double(key, value);
+      spec.faults.node_mtbf = kGrammar.parse_double(key, value);
     } else if (key == "fault_node_mttr") {
-      spec.faults.node_mttr = parse_double(key, value);
+      spec.faults.node_mttr = kGrammar.parse_double(key, value);
     } else if (key == "fault_filter_flap_mtbf") {
-      spec.faults.filter_flap_mtbf = parse_double(key, value);
+      spec.faults.filter_flap_mtbf = kGrammar.parse_double(key, value);
     } else if (key == "fault_filter_flap_mttr") {
-      spec.faults.filter_flap_mttr = parse_double(key, value);
+      spec.faults.filter_flap_mttr = kGrammar.parse_double(key, value);
     } else if (key == "fault_lossy_fraction") {
-      spec.faults.lossy_fraction = parse_double(key, value);
+      spec.faults.lossy_fraction = kGrammar.parse_double(key, value);
     } else if (key == "fault_seed") {
-      spec.faults.seed = parse_seed(key, value);
+      spec.faults.seed = kGrammar.parse_seed(key, value);
     } else {
       reject("key", key, kKnownKeys);
     }
-  }
+  });
 
   // Sweep campaigns default to analytic-only; "per-figure default" has no
   // meaning without a figure registry entry.

@@ -279,8 +279,13 @@ int run_distributed(const campaign::ScenarioSpec& spec,
       args.get_double("heartbeat-timeout", options.heartbeat_timeout_s);
   options.registration_timeout_s =
       args.get_double("registration-timeout", options.registration_timeout_s);
-  options.listen_port = static_cast<std::uint16_t>(
-      args.get_int("listen-port", options.listen_port));
+  const std::int64_t port = args.get_int("listen-port", options.listen_port);
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "run: bad --listen-port=%lld (accepted: 0..65535)\n",
+                 static_cast<long long>(port));
+    return 2;
+  }
+  options.listen_port = static_cast<std::uint16_t>(port);
   options.key_file = args.get_string("key-file", "");
   options.resume = args.get_bool("resume", false);
   if (const int rc = reject_unused(args); rc != 0) return rc;
@@ -330,7 +335,7 @@ int cmd_serve(const common::Args& args) {
       static_cast<int>(args.get_int("max-reconnects", config.max_reconnects));
   config.key_file = args.get_string("key-file", "");
   apply_chaos_flags(args, config.chaos);
-  config.chaos.validate();
+  config.validate();
   if (const int rc = reject_unused(args); rc != 0) return rc;
   return campaign::run_remote_worker(config);
 }

@@ -6,6 +6,7 @@
 #include "attack/one_burst_attacker.h"
 #include "attack/random_congestion_attacker.h"
 #include "attack/successive_attacker.h"
+#include "common/stats.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/design.h"
@@ -145,6 +146,11 @@ class AnalyticBatch {
 
 inline std::string fmt(double value, int precision = 4) {
   return common::format_double(value, precision);
+}
+
+/// A sample's mean, or "-" for an empty sample, which has no mean.
+inline std::string fmt_mean(const common::RunningStats& sample, int precision) {
+  return sample.count() == 0 ? "-" : fmt(sample.mean(), precision);
 }
 
 /// A table row whose Monte Carlo columns are still pending in an McBatch.

@@ -162,7 +162,7 @@ Figure ext_fault_tolerance(const Params& params) {
          std::to_string(link_attack.congestion_budget),
          detail::fmt(core::delivery_after_retries(loss,
                                                   config.faults.max_retries)),
-         detail::fmt(p_delivered), "-", "-", detail::fmt(latency.mean(), 1),
+         detail::fmt(p_delivered), "-", "-", detail::fmt_mean(latency, 1),
          detail::fmt(amp, 2)});
   }
   figure.series.push_back(std::move(loss_series));

@@ -762,7 +762,7 @@ Figure ext_protocol_semantics(const Params& params) {
   common::Series backtrack_series{"backtracking protocol", {}, {}};
 
   bool backtrack_dominates = true;
-  double latency_light = 0.0, latency_heavy = 0.0;
+  common::RunningStats latency_light, latency_heavy;
   const std::vector<int> budgets{200, 600, 1000, 1400, 1800};
   for (const int budget_c : budgets) {
     const core::OneBurstAttack attack{0, budget_c, params.p_break};
@@ -803,8 +803,8 @@ Figure ext_protocol_semantics(const Params& params) {
     const double p_commit = static_cast<double>(commit_ok) / total;
     const double p_backtrack = static_cast<double>(backtrack_ok) / total;
     if (p_backtrack + 0.02 < p_commit) backtrack_dominates = false;
-    if (budget_c == budgets.front()) latency_light = latency.mean();
-    if (budget_c == budgets.back()) latency_heavy = latency.mean();
+    if (budget_c == budgets.front()) latency_light = latency;
+    if (budget_c == budgets.back()) latency_heavy = latency;
 
     model_series.xs.push_back(budget_c);
     model_series.ys.push_back(p_model);
@@ -814,7 +814,7 @@ Figure ext_protocol_semantics(const Params& params) {
     backtrack_series.ys.push_back(p_backtrack);
     figure.table.add_row(
         {std::to_string(budget_c), fmt(p_model), fmt(p_commit),
-         fmt(p_backtrack), fmt(latency.mean(), 1),
+         fmt(p_backtrack), detail::fmt_mean(latency, 1),
          latencies.empty() ? "-" : fmt(common::quantile(latencies, 0.95), 1),
          fmt(messages.mean(), 1)});
     if (budget_c == 1000 && !latencies.empty()) {
@@ -837,9 +837,9 @@ Figure ext_protocol_semantics(const Params& params) {
   figure.checks.push_back(make_check(
       "resilience is paid in latency: successful deliveries slow down as "
       "congestion grows",
-      latency_heavy > latency_light + 1.0,
-      "mean latency light: " + fmt(latency_light, 1) +
-          ", heavy: " + fmt(latency_heavy, 1)));
+      latency_heavy.mean() > latency_light.mean() + 1.0,
+      "mean latency light: " + detail::fmt_mean(latency_light, 1) +
+          ", heavy: " + detail::fmt_mean(latency_heavy, 1)));
   figure.notes.push_back(
       "latency units: one overlay hop = 1, retransmission timeout = 4; "
       "N scaled to 2000 for per-delivery simulation cost");

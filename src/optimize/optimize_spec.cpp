@@ -1,20 +1,24 @@
 #include "optimize/optimize_spec.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/files.h"
+#include "common/spec_grammar.h"
 #include "common/strings.h"
 
 namespace sos::optimize {
 
 namespace {
 
+constexpr common::SpecGrammar kGrammar{"OptimizeSpec"};
+using common::fmt_double;
+using common::join_ints;
+using common::parse_name_list;
+using common::valid_name;
+
 [[noreturn]] void reject(const std::string& field, const std::string& value,
                          const std::string& accepted) {
-  throw std::invalid_argument("OptimizeSpec: bad " + field + " '" + value +
-                              "' (accepted: " + accepted + ")");
+  kGrammar.reject(field, value, accepted);
 }
 
 constexpr const char* kKnownKeys =
@@ -24,91 +28,6 @@ constexpr const char* kKnownKeys =
     "p_break, split_steps, searcher, auto_exhaustive_max, sa_restarts, "
     "sa_iterations, sa_t_initial, sa_t_final, sa_seed, validate_trials, "
     "mc_walks, seed";
-
-long long parse_int(const std::string& key, const std::string& value) {
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') reject(key, value, "an integer");
-  return parsed;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0') reject(key, value, "a real number");
-  return parsed;
-}
-
-std::uint64_t parse_seed(const std::string& key, const std::string& value) {
-  if (value.empty() || value[0] == '-')
-    reject(key, value, "a non-negative integer, decimal or 0x hex");
-  const char* text = value.c_str();
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0')
-    reject(key, value, "a non-negative integer, decimal or 0x hex");
-  return parsed;
-}
-
-/// "1,2,4" or "1..8" (inclusive) or a mix — same grammar as ScenarioSpec.
-std::vector<int> parse_int_list(const std::string& key,
-                                const std::string& value) {
-  constexpr const char* kAccepted =
-      "comma-separated integers and lo..hi ranges, e.g. 1,2,4 or 1..8";
-  std::vector<int> out;
-  for (const auto& raw : common::split(value, ',')) {
-    const std::string item = common::trim(raw);
-    if (item.empty()) reject(key, value, kAccepted);
-    const auto dots = item.find("..");
-    if (dots == std::string::npos) {
-      out.push_back(static_cast<int>(parse_int(key, item)));
-      continue;
-    }
-    const std::string lo_text = common::trim(item.substr(0, dots));
-    const std::string hi_text = common::trim(item.substr(dots + 2));
-    if (lo_text.empty() || hi_text.empty()) reject(key, value, kAccepted);
-    const int lo = static_cast<int>(parse_int(key, lo_text));
-    const int hi = static_cast<int>(parse_int(key, hi_text));
-    if (lo > hi) reject(key, value, kAccepted);
-    for (int i = lo; i <= hi; ++i) out.push_back(i);
-  }
-  if (out.empty()) reject(key, value, kAccepted);
-  return out;
-}
-
-std::vector<std::string> parse_name_list(const std::string& value) {
-  std::vector<std::string> out;
-  for (const auto& raw : common::split(value, ',')) {
-    const std::string item = common::trim(raw);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::string fmt_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string join_ints(const std::vector<int>& values) {
-  std::vector<std::string> parts;
-  parts.reserve(values.size());
-  for (const int v : values) parts.push_back(std::to_string(v));
-  return common::join(parts, ", ");
-}
-
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 OptimizeSpec::Searcher parse_searcher(const std::string& value) {
   if (value == "auto") return OptimizeSpec::Searcher::kAuto;
@@ -137,90 +56,76 @@ OptimizeSpec::Searcher OptimizeSpec::resolved_searcher() const {
 
 OptimizeSpec OptimizeSpec::parse(const std::string& text) {
   OptimizeSpec spec;
-  std::vector<std::string> seen;
-
-  for (const auto& raw_line : common::split(text, '\n')) {
-    std::string line{raw_line};
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = common::trim(line);
-    if (line.empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      reject("line", line,
-             "'key = value' lines, blank lines, and # comments");
-    const std::string key = common::trim(line.substr(0, eq));
-    const std::string value = common::trim(line.substr(eq + 1));
-    if (key.empty())
-      reject("line", line,
-             "'key = value' lines, blank lines, and # comments");
-    for (const auto& prior : seen)
-      if (prior == key) reject("duplicate key", key, "each key at most once");
-    seen.push_back(key);
-
+  kGrammar.for_each_entry(text, [&](const std::string& key,
+                                    const std::string& value) {
     if (key == "optimize") {
       spec.name = value;
     } else if (key == "n") {
-      spec.space.total_overlay_nodes = static_cast<int>(parse_int(key, value));
+      spec.space.total_overlay_nodes =
+          static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "filters") {
-      spec.space.filter_count = static_cast<int>(parse_int(key, value));
+      spec.space.filter_count =
+          static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "layers") {
-      spec.space.layers = parse_int_list(key, value);
+      spec.space.layers = kGrammar.parse_int_list(key, value);
     } else if (key == "sos") {
-      spec.space.sos_nodes = parse_int_list(key, value);
+      spec.space.sos_nodes = kGrammar.parse_int_list(key, value);
     } else if (key == "mappings") {
       spec.space.mappings = parse_name_list(value);
     } else if (key == "distributions") {
       spec.space.distributions = parse_name_list(value);
     } else if (key == "cost_node") {
-      spec.cost.node_cost = parse_double(key, value);
+      spec.cost.node_cost = kGrammar.parse_double(key, value);
     } else if (key == "cost_filter") {
-      spec.cost.filter_cost = parse_double(key, value);
+      spec.cost.filter_cost = kGrammar.parse_double(key, value);
     } else if (key == "cost_layer") {
-      spec.cost.layer_cost = parse_double(key, value);
+      spec.cost.layer_cost = kGrammar.parse_double(key, value);
     } else if (key == "cost_link") {
-      spec.cost.link_cost = parse_double(key, value);
+      spec.cost.link_cost = kGrammar.parse_double(key, value);
     } else if (key == "attacker") {
       spec.objective.model = parse_attacker_model(value);
     } else if (key == "budget_total") {
-      spec.objective.budget.total = parse_double(key, value);
+      spec.objective.budget.total = kGrammar.parse_double(key, value);
     } else if (key == "budget_break_in_cost") {
-      spec.objective.budget.break_in_cost = parse_double(key, value);
+      spec.objective.budget.break_in_cost = kGrammar.parse_double(key, value);
     } else if (key == "budget_congestion_cost") {
-      spec.objective.budget.congestion_cost = parse_double(key, value);
+      spec.objective.budget.congestion_cost = kGrammar.parse_double(key, value);
     } else if (key == "rounds") {
-      spec.objective.budget.rounds = static_cast<int>(parse_int(key, value));
+      spec.objective.budget.rounds =
+          static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "prior_knowledge") {
-      spec.objective.budget.prior_knowledge = parse_double(key, value);
+      spec.objective.budget.prior_knowledge = kGrammar.parse_double(key, value);
     } else if (key == "p_break") {
-      spec.objective.budget.break_in_success = parse_double(key, value);
+      spec.objective.budget.break_in_success =
+          kGrammar.parse_double(key, value);
     } else if (key == "split_steps") {
-      spec.objective.split_steps = static_cast<int>(parse_int(key, value));
+      spec.objective.split_steps =
+          static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "searcher") {
       spec.searcher = parse_searcher(value);
     } else if (key == "auto_exhaustive_max") {
-      spec.auto_exhaustive_max = static_cast<int>(parse_int(key, value));
+      spec.auto_exhaustive_max =
+          static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "sa_restarts") {
-      spec.anneal.restarts = static_cast<int>(parse_int(key, value));
+      spec.anneal.restarts = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "sa_iterations") {
-      spec.anneal.iterations = static_cast<int>(parse_int(key, value));
+      spec.anneal.iterations = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "sa_t_initial") {
-      spec.anneal.t_initial = parse_double(key, value);
+      spec.anneal.t_initial = kGrammar.parse_double(key, value);
     } else if (key == "sa_t_final") {
-      spec.anneal.t_final = parse_double(key, value);
+      spec.anneal.t_final = kGrammar.parse_double(key, value);
     } else if (key == "sa_seed") {
-      spec.anneal.seed = parse_seed(key, value);
+      spec.anneal.seed = kGrammar.parse_seed(key, value);
     } else if (key == "validate_trials") {
-      spec.validate_trials = static_cast<int>(parse_int(key, value));
+      spec.validate_trials = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "mc_walks") {
-      spec.mc_walks = static_cast<int>(parse_int(key, value));
+      spec.mc_walks = static_cast<int>(kGrammar.parse_int(key, value));
     } else if (key == "seed") {
-      spec.seed = parse_seed(key, value);
+      spec.seed = kGrammar.parse_seed(key, value);
     } else {
       reject("key", key, kKnownKeys);
     }
-  }
+  });
 
   spec.validate();
   return spec;

@@ -40,9 +40,9 @@ ScenarioSpec tiny_sweep() {
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pid-unique root: ctest runs these bodies twice in parallel (the
-    // discovered test and the `-L chaos` aggregate), and two processes
-    // sharing a root would race remove_all against store writes.
+    // Pid-unique root: two test processes that shared one (a parallel
+    // ctest next to a manual run) would race remove_all against store
+    // writes.
     root_ = fs::temp_directory_path() /
             ("sos_chaos_test_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()

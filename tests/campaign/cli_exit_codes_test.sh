@@ -144,6 +144,16 @@ expect_rc 4 $? "serve with no coordinator listening"
 "$cli" serve > /dev/null 2>&1
 expect_rc 2 $? "serve without --connect (usage error)"
 
+# Out-of-range executor inputs are rejected, never truncated or spun on:
+# a listen port past 65535 is a usage error (like serve's bad --connect
+# port), and a non-positive serve heartbeat interval is refused (like the
+# coordinator's --heartbeat-interval=0).
+"$cli" run "$spec" --store="$work/badport" --results="$work/results" \
+  --distributed --listen-port=70000 > /dev/null 2>&1
+expect_rc 2 $? "distributed run with --listen-port out of range"
+"$cli" serve --connect=127.0.0.1:9 --heartbeat-interval=0 > /dev/null 2>&1
+expect_rc 1 $? "serve with a non-positive --heartbeat-interval"
+
 # Distributed chaos: first-attempt network faults retry to completion.
 "$cli" run "$spec" --store="$work/dist-chaos" --results="$work/results" \
   --distributed --local-workers=2 --points-per-assign=2 \

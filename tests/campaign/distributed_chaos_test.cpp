@@ -144,9 +144,12 @@ TEST_F(DistributedChaosTest, MixedFaultStormStillConverges) {
 
 TEST_F(DistributedChaosTest, HangedWorkerIsEvictedByHeartbeatSilence) {
   // A SIGSTOP-ed TCP worker sends no heartbeats; the coordinator must
-  // charge its poison point, respawn capacity, and finish complete.
+  // charge its poison point, SIGKILL and respawn the child, and finish
+  // complete. (CoordinatorCore.HeartbeatSilenceSuspendsKillsAndCharges pins
+  // the charge and its reason on a virtual clock; this is the fork path.)
   const auto reference = reference_objects();
   auto options = chaotic_options(store("hang"));
+  options.heartbeat_timeout_s = 0.2;
   options.chaos.seed = 5;
   options.chaos.hang = 0.4;
   RemoteWorkerPool pool{tiny_sweep(), options};
@@ -156,24 +159,27 @@ TEST_F(DistributedChaosTest, HangedWorkerIsEvictedByHeartbeatSilence) {
 }
 
 TEST_F(DistributedChaosTest, PartitionedWorkerDeliversLateAndDeduplicates) {
-  // The partition story end to end, with ONE external thread worker (the
+  // One partition over real sockets, with ONE external thread worker (the
   // shared thread pool allows one in-process worker at a time): the
-  // worker goes heartbeat-silent for longer than the eviction threshold,
-  // the coordinator charges and reassigns, and the late result that
-  // arrives after the blackhole is absorbed without corrupting the store.
+  // worker blackholes its heartbeats for longer than the eviction
+  // threshold, is charged and suspended, then delivers late — and the
+  // late result lands without corrupting the store. Seed 7 at p = 0.2
+  // partitions point 1 alone. The policy around it (revival, dedup, no
+  // reassignment of the late point) is pinned on a virtual clock by
+  // CoordinatorCore.PartitionedWorkerDeliversLateRevivesAndIsStoredOnce.
   const auto reference = reference_objects();
   auto options = chaotic_options(store("partition"));
   options.local_workers = 0;  // external thread worker only
-  options.heartbeat_timeout_s = 0.25;
+  options.heartbeat_timeout_s = 0.1;
 
   RemoteWorkerPool pool{tiny_sweep(), options};
 
   RemoteWorkerConfig worker;
   worker.port = pool.port();
   worker.heartbeat_interval_s = 0.02;
-  worker.chaos.seed = 11;
-  worker.chaos.net_partition = 0.5;
-  worker.chaos.net_partition_s = 0.6;  // > heartbeat_timeout_s: evicted
+  worker.chaos.seed = 7;
+  worker.chaos.net_partition = 0.2;
+  worker.chaos.net_partition_s = 0.2;  // > heartbeat_timeout_s: evicted
   int worker_exit = -1;
   std::thread serve([&]() { worker_exit = run_remote_worker(worker); });
 

@@ -55,8 +55,8 @@ optimize::OptimizeSpec tiny_spec() {
 class OptimizeSmoke : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pid + test-name unique: the OptimizeSmoke bodies run twice under
-    // parallel ctest (discovered test + the `-L optimize-smoke` aggregate).
+    // Pid + test-name unique, so concurrent runs of one body never share
+    // a store.
     root_ = fs::temp_directory_path() /
             ("sos_optimize_test_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()

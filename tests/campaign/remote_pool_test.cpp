@@ -248,9 +248,11 @@ TEST_F(RemotePoolTest, CheckpointHookSeesEveryComputedPointInOrder) {
 }
 
 TEST_F(RemotePoolTest, EmptyFleetThrowsFleetUnreachable) {
+  // The timeout and its message are pinned on a virtual clock by
+  // CoordinatorCore.EmptyFleetThrowsFleetUnreachableAtTheTimeout.
   auto options = fast_options(store("s"));
   options.local_workers = 0;
-  options.registration_timeout_s = 0.3;
+  options.registration_timeout_s = 0.05;
   RemoteWorkerPool pool{tiny_sweep(), options};
   EXPECT_THROW(pool.run(), FleetUnreachableError);
 }
@@ -264,7 +266,7 @@ TEST_F(RemotePoolTest, WorkerWithNoCoordinatorExitsFleetUnreachable) {
 
   RemoteWorkerConfig worker;
   worker.port = dead_port;
-  worker.connect_timeout_s = 0.2;
+  worker.connect_timeout_s = 0.05;
   EXPECT_EQ(run_remote_worker(worker), kExitFleetUnreachable);
   EXPECT_EQ(kExitFleetUnreachable, 4);  // the CLI contract pins the value
 }
@@ -318,6 +320,18 @@ TEST_F(RemotePoolTest, OptionsValidateRejectsNonsense) {
   auto bad_fires = fast_options(store("s"));
   bad_fires.chaos.max_fires_per_point = -1;
   EXPECT_THROW((RemoteWorkerPool{spec, bad_fires}), std::invalid_argument);
+
+  // The serve side: a non-positive heartbeat interval would make the
+  // heartbeat thread write frames back to back.
+  RemoteWorkerConfig worker;
+  EXPECT_NO_THROW(worker.validate());
+  for (const double interval : {0.0, -0.05}) {
+    worker.heartbeat_interval_s = interval;
+    EXPECT_THROW(worker.validate(), std::invalid_argument) << interval;
+  }
+  worker.heartbeat_interval_s = 0.05;
+  worker.chaos.net_drop = 1.5;
+  EXPECT_THROW(worker.validate(), std::invalid_argument);
 }
 
 TEST_F(RemotePoolTest, StuckWorkerIsClosedAtThePointDeadline) {
@@ -327,7 +341,8 @@ TEST_F(RemotePoolTest, StuckWorkerIsClosedAtThePointDeadline) {
   // and never sends a RESULT. The coordinator must close it at
   // point_deadline_s — heartbeat silence never fires — charging its first
   // point exactly once; a real worker then finishes the store
-  // byte-identically.
+  // byte-identically. (CoordinatorCore.StuckWorkerIsClosedAtThePointDeadline
+  // pins the deadline restart and the reason string on a virtual clock.)
   using Clock = std::chrono::steady_clock;
   const auto spec = tiny_sweep();
   reference_csv(spec);  // before any worker thread borrows the shared pool
@@ -336,7 +351,7 @@ TEST_F(RemotePoolTest, StuckWorkerIsClosedAtThePointDeadline) {
   options.local_workers = 0;
   options.points_per_assign = 2;
   options.heartbeat_timeout_s = 5.0;
-  options.point_deadline_s = 0.4;
+  options.point_deadline_s = 0.15;
   RemoteWorkerPool pool{spec, options};
   const std::uint16_t port = pool.port();
 

@@ -47,9 +47,9 @@ ScenarioSpec tiny_sweep() {
 class CampaignTestBase : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pid-unique: the CampaignSmoke bodies run twice under parallel ctest
-    // (discovered test + the `-L campaign-smoke` aggregate), and two
-    // processes sharing a root would race remove_all against store writes.
+    // Pid-unique: two processes running the same body at once (a parallel
+    // ctest next to a manual run) would otherwise race remove_all against
+    // store writes.
     root_ = fs::temp_directory_path() /
             ("sos_campaign_test_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()

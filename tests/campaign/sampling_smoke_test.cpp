@@ -41,8 +41,8 @@ ScenarioSpec auto_sweep(const std::string& estimator) {
 class SamplingSmoke : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pid-unique (see runner_test.cpp: discovered + aggregate ctest entries
-    // may run the same body in parallel).
+    // Pid-unique (see runner_test.cpp: two processes may run the same
+    // body in parallel).
     root_ = fs::temp_directory_path() /
             ("sos_sampling_smoke_" + std::to_string(::getpid()) + "_" +
              std::string(::testing::UnitTest::GetInstance()
