@@ -23,7 +23,6 @@
 #include "overlay/chord.h"
 #include "sim/monte_carlo.h"
 #include "sim/sampling.h"
-#include "sim/sweep.h"
 #include "sosnet/protocol.h"
 #include "sosnet/sos_overlay.h"
 #include "sosnet/topology.h"
@@ -420,8 +419,8 @@ void BM_MonteCarloSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloSteadyState)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// A whole mini figure sweep through the SweepRunner: many points sharing the
-// process-wide pool and its per-worker persistent overlays.
+// A whole mini figure sweep as one list-form run_monte_carlo pass: many
+// points sharing the process-wide pool and its per-worker overlays.
 void BM_SweepEngine(benchmark::State& state) {
   const attack::SuccessiveAttacker attacker{bench_attack()};
   const sim::AttackFn attack_fn = [&attacker](sosnet::SosOverlay& overlay,
@@ -431,19 +430,14 @@ void BM_SweepEngine(benchmark::State& state) {
   sim::MonteCarloConfig config;
   config.trials = 8;
   config.walks_per_trial = 10;
-  std::vector<core::SosDesign> designs;
+  std::vector<sim::MonteCarloPoint> points;
   for (int layers = 1; layers <= 6; ++layers)
-    designs.push_back(bench_design(layers));
-  for (auto _ : state) {
-    sim::SweepRunner runner;
-    for (const auto& design : designs)
-      runner.add(design, attack_fn, config);
-    runner.run();
-    benchmark::DoNotOptimize(runner.result(0).p_success);
-  }
+    points.push_back({bench_design(layers), attack_fn, config});
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim::run_monte_carlo(points).front().p_success);
   state.counters["points/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
-          static_cast<double>(designs.size()),
+          static_cast<double>(points.size()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SweepEngine)->Unit(benchmark::kMillisecond);

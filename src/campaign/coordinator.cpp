@@ -373,8 +373,16 @@ Coordinator::TimePoint Coordinator::next_wakeup() const {
                     session.last_heard + seconds(options_.heartbeat_timeout_s));
     if (!session.outstanding.empty()) wake = std::min(wake, session.deadline);
   }
-  for (const int index : queue_)
-    wake = std::min(wake, ledger_.eligible_at(index));
+  // Only an idle live session can take a queued point; a RESULT or HELLO
+  // that makes one arrives on a socket and wakes the poll loop by itself.
+  const bool any_idle =
+      std::any_of(sessions_.begin(), sessions_.end(), [](const auto& entry) {
+        return entry.second.state == State::kLive &&
+               entry.second.outstanding.empty();
+      });
+  if (any_idle)
+    for (const int index : queue_)
+      wake = std::min(wake, ledger_.eligible_at(index));
   return wake;
 }
 

@@ -24,6 +24,7 @@
 #include "common/proc.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 
 namespace sos::campaign {
 
@@ -103,7 +104,7 @@ void RemoteWorkerConfig::validate() const {
 
 RemoteWorkerPool::RemoteWorkerPool(ScenarioSpec spec, RemotePoolOptions options)
     : runner_(std::move(spec),
-              CampaignOptions{options.store_dir, nullptr, 1, nullptr}),
+              CampaignOptions{options.store_dir, nullptr, nullptr}),
       options_(std::move(options)),
       listener_(common::Listener::bind_loopback(options_.listen_port)) {
   options_.validate();
@@ -254,14 +255,6 @@ struct WorkerLink {
   std::atomic<long long> blackhole_until_ns{0};  // partition chaos gate
 };
 
-std::string scratch_store_dir() {
-  static std::atomic<int> counter{0};
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("sos-serve-" + std::to_string(::getpid()) + "-" +
-                    std::to_string(counter.fetch_add(1)));
-  return dir.string();
-}
-
 long long steady_ns(Clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              t.time_since_epoch())
@@ -356,25 +349,31 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
     }
   });
 
-  std::optional<CampaignRunner> runner;
-  std::string scratch;  // the runner's never-written store directory
+  std::optional<ScenarioSpec> spec;  // from the WELCOME
+  std::vector<CampaignPoint> points;
 
   int exit_code = -1;  // < 0: keep serving
   bool need_reconnect = false;
 
+  const auto compute = [&](int index) {
+    return compute_points(*spec, {points[static_cast<std::size_t>(index)]},
+                          common::ThreadPool::shared())
+        .front();
+  };
+
   const auto compute_and_send = [&](int index) {
-    const std::string bytes = runner->compute_point_bytes(index);
+    const std::string bytes = compute(index);
     if (!send(encode_result(index, bytes))) need_reconnect = true;
     return bytes;
   };
 
   const auto on_assign = [&](const std::string& frame) {
     const auto assignments = parse_assign(frame);
-    if (!assignments || !runner) {
+    if (!assignments || !spec) {
       exit_code = 1;
       return;
     }
-    const int total = static_cast<int>(runner->points().size());
+    const int total = static_cast<int>(points.size());
     for (const Assignment& assignment : *assignments) {
       if (assignment.index < 0 || assignment.index >= total) {
         exit_code = 1;
@@ -423,8 +422,7 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
         }
         case ChaosAction::kNetTorn: {
           // A frame cut mid-payload by the connection dropping.
-          const std::string payload = runner->compute_point_bytes(
-              assignment.index);
+          const std::string payload = compute(assignment.index);
           {
             std::lock_guard<std::mutex> lock(link.write_mutex);
             if (link.sock.valid())
@@ -464,16 +462,17 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
     }
     switch (*type) {
       case MessageType::kWelcome: {
-        if (runner) return;  // re-registration: the spec does not change
+        if (spec) return;  // re-registration: the spec does not change
         const auto text = parse_welcome(frame);
         if (!text) {
           exit_code = 1;
           return;
         }
         try {
-          scratch = scratch_store_dir();
-          runner.emplace(ScenarioSpec::parse(*text),
-                         CampaignOptions{scratch, nullptr, 1, nullptr});
+          ScenarioSpec parsed = ScenarioSpec::parse(*text);
+          parsed.validate();  // it arrives from outside the process
+          points = expand(parsed);
+          spec = std::move(parsed);
         } catch (const std::exception& error) {
           std::fprintf(stderr, "sos_campaign serve: bad spec from coordinator: %s\n",
                        error.what());
@@ -580,10 +579,6 @@ int run_remote_worker(const RemoteWorkerConfig& config) {
   stop_signal.notify_one();
   beater.join();
   drop_connection();
-  if (!scratch.empty()) {
-    std::error_code ignored;
-    std::filesystem::remove_all(scratch, ignored);
-  }
   return exit_code;
 }
 

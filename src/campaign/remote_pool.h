@@ -4,9 +4,9 @@
 // coordinator: forked loopback children by default, plus any external
 // serve processes that connect. They register (HELLO/WELCOME), heartbeat,
 // pull work-stealing shards, compute each point IN ORDER via
-// CampaignRunner::compute_point_bytes — the in-process unit of work, which
-// is what keeps the store byte-identical across executors — and stream
-// results back over the authenticated transport (remote_protocol v2).
+// compute_points — the same function in-process runs use, which is what
+// keeps the store byte-identical across executors — and stream results
+// back over the authenticated transport (remote_protocol v2).
 //
 // Every protocol decision lives in campaign::Coordinator (coordinator.h),
 // a core with no IO and no clock. run() is its driver: it forks and

@@ -16,12 +16,15 @@
 #include "core/successive_model.h"
 #include "experiments/figure.h"
 #include "faults/fault_injector.h"
+#include "sim/monte_carlo.h"
 #include "sim/sampling.h"
-#include "sim/sweep.h"
 
 namespace sos::campaign {
 
 namespace {
+
+/// Sweep points computed per batch; each batch is checkpointed in order.
+constexpr std::size_t kSweepBatch = 16;
 
 std::string fmt(double value) { return common::format_double(value, 4); }
 
@@ -81,6 +84,118 @@ sim::AttackFn sweep_attack_fn(const ScenarioSpec& spec,
   };
 }
 
+/// True when sweep rows carry a Monte Carlo column block — a fixed trial
+/// count or an auto stopping rule.
+bool mc_enabled(const ScenarioSpec& spec) {
+  return spec.auto_trials.enabled || spec.mc_trials > 0;
+}
+
+/// One adaptive point: builds the spec's StoppingRule and runs the
+/// configured sim::sampling estimator (which parallelizes its trials over
+/// `pool` internally). Deterministic in (spec, point) alone, so cached,
+/// resumed, and distributed executions agree byte-for-byte.
+sim::MonteCarloResult run_auto_point(const ScenarioSpec& spec,
+                                     const CampaignPoint& point,
+                                     common::ThreadPool& pool) {
+  const ScenarioSpec::AutoTrials& auto_trials = spec.auto_trials;
+  sim::sampling::StoppingRule rule;
+  rule.ci_half_width = auto_trials.ci;
+  rule.relative = auto_trials.relative;
+  rule.max_trials = auto_trials.max_trials;
+
+  sim::MonteCarloConfig config;
+  config.walks_per_trial = spec.mc_walks;
+  config.seed = spec.seed;
+  config.pool = &pool;
+
+  const auto design = sweep_design(spec, point);
+  if (auto_trials.estimator == "sequential") {
+    return sim::sampling::run_sequential(design, sweep_attack_fn(spec, point),
+                                         config, rule);
+  }
+  // Stratified: validate() pinned attacker == one-burst, and the benign
+  // faults ride the post-attack hook (the same attack-then-faults order
+  // sweep_attack_fn composes).
+  const faults::FaultConfig fault_config = spec.faults;
+  const sim::sampling::PostAttackFn post_attack =
+      [fault_config](sosnet::SosOverlay& overlay, common::Rng& rng) {
+        faults::apply_steady_state_faults(fault_config, overlay, rng);
+      };
+  return sim::sampling::run_stratified(design, one_burst_attack(spec, point),
+                                       config, rule, {}, post_attack);
+}
+
+double sweep_model_value(const ScenarioSpec& spec, const CampaignPoint& point) {
+  const auto design = sweep_design(spec, point);
+  const core::SubstrateFaults substrate{spec.faults.steady_state_node_up(),
+                                        spec.faults.steady_state_filter_up(),
+                                        1.0};
+  if (spec.successive()) {
+    const auto attack = successive_attack(spec, point);
+    return substrate.ideal()
+               ? core::SuccessiveModel::p_success(design, attack)
+               : core::DegradedSubstrateModel::successive(design, attack,
+                                                          substrate);
+  }
+  const auto attack = one_burst_attack(spec, point);
+  return substrate.ideal()
+             ? core::OneBurstModel::p_success(design, attack)
+             : core::DegradedSubstrateModel::one_burst(design, attack,
+                                                       substrate);
+}
+
+/// The cells every sweep row starts with: N_T, N_C, mapping, L.
+std::vector<std::string> axis_cells(const CampaignPoint& point) {
+  return {std::to_string(point.break_in), std::to_string(point.congestion),
+          point.mapping, std::to_string(point.layers)};
+}
+
+std::string sweep_row(const ScenarioSpec& spec, const CampaignPoint& point,
+                      double model, const sim::MonteCarloResult* mc) {
+  std::vector<std::string> cells = axis_cells(point);
+  cells.push_back(fmt(model));
+  if (mc_enabled(spec)) {
+    if (mc == nullptr)
+      throw std::logic_error("CampaignRunner: missing MC result for " +
+                             point.key);
+    cells.insert(cells.end(),
+                 {fmt(mc->p_success), fmt(mc->ci.lo), fmt(mc->ci.hi)});
+    if (spec.auto_trials.enabled) {
+      // The resolved count makes an auto row self-describing: resuming or
+      // re-running the campaign reproduces these bytes without re-deriving
+      // the stopping decision from scratch elsewhere.
+      cells.push_back(std::to_string(mc->resolved_trials));
+    }
+  }
+  return csv_line(cells);
+}
+
+std::vector<std::string> sweep_headers(const ScenarioSpec& spec) {
+  std::vector<std::string> headers{"N_T", "N_C", "mapping", "L", "P_S_model"};
+  if (mc_enabled(spec)) {
+    headers.insert(headers.end(), {"P_S_mc", "mc_ci_lo", "mc_ci_hi"});
+    if (spec.auto_trials.enabled)
+      headers.push_back("mc_trials_resolved");
+  }
+  return headers;
+}
+
+/// A quarantined point's row: its axis values, every result column NA.
+std::string sweep_na_row(const ScenarioSpec& spec, const CampaignPoint& point) {
+  std::vector<std::string> cells = axis_cells(point);
+  cells.resize(sweep_headers(spec).size(), "NA");
+  return csv_line(cells);
+}
+
+const RegisteredFigure& registered_figure(const CampaignPoint& point) {
+  const RegisteredFigure* entry = find_figure(point.figure_id);
+  // expand() already verified every id; keep the invariant loud.
+  if (entry == nullptr)
+    throw std::logic_error("CampaignRunner: unregistered figure '" +
+                           point.figure_id + "'");
+  return *entry;
+}
+
 }  // namespace
 
 CampaignRunner::CampaignRunner(ScenarioSpec spec, CampaignOptions options)
@@ -128,6 +243,47 @@ CampaignReport CampaignRunner::status() const {
   return report;
 }
 
+std::vector<std::string> compute_points(const ScenarioSpec& spec,
+                                        const std::vector<CampaignPoint>& points,
+                                        common::ThreadPool& pool) {
+  std::vector<std::string> bytes;
+  bytes.reserve(points.size());
+  if (spec.mode == ScenarioSpec::Mode::kFigures) {
+    for (const CampaignPoint& point : points)
+      bytes.push_back(
+          experiments::render_figure(registered_figure(point).generate(
+              spec.params_with_trials(point.mc_trials))));
+    return bytes;
+  }
+
+  // Auto trials point by point: each estimator run parallelizes its own
+  // trials over the pool.
+  std::vector<sim::MonteCarloResult> mc;
+  if (spec.auto_trials.enabled) {
+    for (const CampaignPoint& point : points)
+      mc.push_back(run_auto_point(spec, point, pool));
+  } else if (spec.mc_trials > 0) {
+    sim::MonteCarloConfig config;
+    config.trials = spec.mc_trials;
+    config.walks_per_trial = spec.mc_walks;
+    config.seed = spec.seed;
+    std::vector<sim::MonteCarloPoint> batch;
+    batch.reserve(points.size());
+    for (const CampaignPoint& point : points)
+      batch.push_back({sweep_design(spec, point), sweep_attack_fn(spec, point),
+                       config});
+    mc = sim::run_monte_carlo(batch, &pool);
+  }
+
+  // The analytic column inline: a closed form costs about a microsecond,
+  // less than a round trip through the pool.
+  for (std::size_t i = 0; i < points.size(); ++i)
+    bytes.push_back(sweep_row(spec, points[i],
+                              sweep_model_value(spec, points[i]),
+                              mc.empty() ? nullptr : &mc[i]));
+  return bytes;
+}
+
 CampaignReport CampaignRunner::run() {
   store_.write_manifest(manifest_text());
 
@@ -141,11 +297,25 @@ CampaignReport CampaignRunner::run() {
     }
   }
 
+  // A figure is checkpointed as soon as it is rendered; sweep points go in
+  // batches whose trials share one Monte Carlo pass.
+  const std::size_t batch_size =
+      spec_.mode == ScenarioSpec::Mode::kFigures ? 1 : kSweepBatch;
   int computed = 0;
-  if (spec_.mode == ScenarioSpec::Mode::kFigures) {
-    run_figure_points(pending, computed);
-  } else {
-    run_sweep_points(pending, computed);
+  for (std::size_t begin = 0; begin < pending.size(); begin += batch_size) {
+    const std::size_t end = std::min(pending.size(), begin + batch_size);
+    std::vector<CampaignPoint> batch;
+    for (std::size_t i = begin; i < end; ++i)
+      batch.push_back(points_[static_cast<std::size_t>(pending[i])]);
+    const auto bytes = compute_points(spec_, batch, pool());
+
+    // Durable checkpoints, in expansion order within the batch.
+    for (std::size_t i = begin; i < end; ++i) {
+      store_.put(digests_[static_cast<std::size_t>(pending[i])],
+                 bytes[i - begin]);
+      ++computed;
+      if (options_.checkpoint_hook) options_.checkpoint_hook(computed);
+    }
   }
 
   CampaignReport report = status();
@@ -154,223 +324,15 @@ CampaignReport CampaignRunner::run() {
   return report;
 }
 
-void CampaignRunner::run_figure_points(const std::vector<int>& pending,
-                                       int& computed) {
-  for (const int index : pending) {
-    const CampaignPoint& point = points_[static_cast<std::size_t>(index)];
-    const RegisteredFigure* entry = find_figure(point.figure_id);
-    // expand() already verified every id; keep the invariant loud.
-    if (entry == nullptr)
-      throw std::logic_error("CampaignRunner: unregistered figure '" +
-                             point.figure_id + "'");
-    const auto figure =
-        entry->generate(spec_.params_with_trials(point.mc_trials));
-    store_.put(digests_[static_cast<std::size_t>(index)],
-               experiments::render_figure(figure));
-    ++computed;
-    if (options_.checkpoint_hook) options_.checkpoint_hook(computed);
-  }
-}
-
-void CampaignRunner::run_sweep_points(const std::vector<int>& pending,
-                                      int& computed) {
-  common::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : common::ThreadPool::shared();
-  const int interval = std::max(1, options_.checkpoint_interval);
-
-  for (std::size_t chunk_begin = 0; chunk_begin < pending.size();
-       chunk_begin += static_cast<std::size_t>(interval)) {
-    const std::size_t chunk_end =
-        std::min(pending.size(),
-                 chunk_begin + static_cast<std::size_t>(interval));
-    const int chunk_size = static_cast<int>(chunk_end - chunk_begin);
-
-    // Analytic column: slot per point, any scheduling yields the same bytes.
-    std::vector<double> model(static_cast<std::size_t>(chunk_size), 0.0);
-    pool.parallel_for(chunk_size, 0, [&](int i, int) {
-      model[static_cast<std::size_t>(i)] = sweep_model_value(
-          points_[static_cast<std::size_t>(
-              pending[chunk_begin + static_cast<std::size_t>(i)])]);
-    });
-
-    // Monte Carlo overlay: fixed trials via the trial-indexed deterministic
-    // reduction; auto trials point by point (each estimator run parallelizes
-    // its own trials over the pool, so the points run serially here).
-    sim::SweepRunner runner{&pool};
-    std::vector<int> mc_index(static_cast<std::size_t>(chunk_size), -1);
-    std::vector<sim::MonteCarloResult> auto_results;
-    if (spec_.auto_trials.enabled) {
-      auto_results.resize(static_cast<std::size_t>(chunk_size));
-      for (int i = 0; i < chunk_size; ++i) {
-        const CampaignPoint& point = points_[static_cast<std::size_t>(
-            pending[chunk_begin + static_cast<std::size_t>(i)])];
-        auto_results[static_cast<std::size_t>(i)] =
-            run_auto_point(point, pool);
-        mc_index[static_cast<std::size_t>(i)] = i;
-      }
-    } else if (spec_.mc_trials > 0) {
-      sim::MonteCarloConfig config;
-      config.trials = spec_.mc_trials;
-      config.walks_per_trial = spec_.mc_walks;
-      config.seed = spec_.seed;
-      config.pool = &pool;
-      for (int i = 0; i < chunk_size; ++i) {
-        const CampaignPoint& point = points_[static_cast<std::size_t>(
-            pending[chunk_begin + static_cast<std::size_t>(i)])];
-        mc_index[static_cast<std::size_t>(i)] = runner.add(
-            sweep_design(spec_, point), sweep_attack_fn(spec_, point), config);
-      }
-      runner.run();
-    }
-
-    // Durable checkpoints, in expansion order within the chunk.
-    for (int i = 0; i < chunk_size; ++i) {
-      const int index = pending[chunk_begin + static_cast<std::size_t>(i)];
-      const CampaignPoint& point = points_[static_cast<std::size_t>(index)];
-      const sim::MonteCarloResult* mc = nullptr;
-      if (mc_index[static_cast<std::size_t>(i)] >= 0) {
-        mc = spec_.auto_trials.enabled
-                 ? &auto_results[static_cast<std::size_t>(
-                       mc_index[static_cast<std::size_t>(i)])]
-                 : &runner.result(mc_index[static_cast<std::size_t>(i)]);
-      }
-      store_.put(digests_[static_cast<std::size_t>(index)],
-                 sweep_row(point, model[static_cast<std::size_t>(i)], mc));
-      ++computed;
-      if (options_.checkpoint_hook) options_.checkpoint_hook(computed);
-    }
-  }
-}
-
 std::string CampaignRunner::compute_point_bytes(int index) const {
-  const CampaignPoint& point = points_.at(static_cast<std::size_t>(index));
-
-  if (spec_.mode == ScenarioSpec::Mode::kFigures) {
-    const RegisteredFigure* entry = find_figure(point.figure_id);
-    if (entry == nullptr)
-      throw std::logic_error("CampaignRunner: unregistered figure '" +
-                             point.figure_id + "'");
-    return experiments::render_figure(
-        entry->generate(spec_.params_with_trials(point.mc_trials)));
-  }
-
-  const double model = sweep_model_value(point);
-  if (spec_.auto_trials.enabled) {
-    common::ThreadPool& pool = options_.pool != nullptr
-                                   ? *options_.pool
-                                   : common::ThreadPool::shared();
-    const sim::MonteCarloResult mc = run_auto_point(point, pool);
-    return sweep_row(point, model, &mc);
-  }
-  if (spec_.mc_trials <= 0) return sweep_row(point, model, nullptr);
-
-  common::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : common::ThreadPool::shared();
-  sim::SweepRunner runner{&pool};
-  sim::MonteCarloConfig config;
-  config.trials = spec_.mc_trials;
-  config.walks_per_trial = spec_.mc_walks;
-  config.seed = spec_.seed;
-  config.pool = &pool;
-  const int slot = runner.add(sweep_design(spec_, point),
-                              sweep_attack_fn(spec_, point), config);
-  runner.run();
-  return sweep_row(point, model, &runner.result(slot));
+  return compute_points(spec_, {points_.at(static_cast<std::size_t>(index))},
+                        pool())
+      .front();
 }
 
-bool CampaignRunner::mc_enabled() const noexcept {
-  return spec_.auto_trials.enabled || spec_.mc_trials > 0;
-}
-
-sim::MonteCarloResult CampaignRunner::run_auto_point(
-    const CampaignPoint& point, common::ThreadPool& pool) const {
-  const ScenarioSpec::AutoTrials& auto_trials = spec_.auto_trials;
-  sim::sampling::StoppingRule rule;
-  rule.ci_half_width = auto_trials.ci;
-  rule.relative = auto_trials.relative;
-  rule.max_trials = auto_trials.max_trials;
-
-  sim::MonteCarloConfig config;
-  config.walks_per_trial = spec_.mc_walks;
-  config.seed = spec_.seed;
-  config.pool = &pool;
-
-  const auto design = sweep_design(spec_, point);
-  if (auto_trials.estimator == "sequential") {
-    return sim::sampling::run_sequential(design, sweep_attack_fn(spec_, point),
-                                         config, rule);
-  }
-  // Stratified: validate() pinned attacker == one-burst, and the benign
-  // faults ride the post-attack hook (the same attack-then-faults order
-  // sweep_attack_fn composes).
-  const faults::FaultConfig fault_config = spec_.faults;
-  const sim::sampling::PostAttackFn post_attack =
-      [fault_config](sosnet::SosOverlay& overlay, common::Rng& rng) {
-        faults::apply_steady_state_faults(fault_config, overlay, rng);
-      };
-  return sim::sampling::run_stratified(design, one_burst_attack(spec_, point),
-                                       config, rule, {}, post_attack);
-}
-
-double CampaignRunner::sweep_model_value(const CampaignPoint& point) const {
-  const auto design = sweep_design(spec_, point);
-  const core::SubstrateFaults substrate{spec_.faults.steady_state_node_up(),
-                                        spec_.faults.steady_state_filter_up(),
-                                        1.0};
-  if (spec_.successive()) {
-    const auto attack = successive_attack(spec_, point);
-    return substrate.ideal()
-               ? core::SuccessiveModel::p_success(design, attack)
-               : core::DegradedSubstrateModel::successive(design, attack,
-                                                          substrate);
-  }
-  const auto attack = one_burst_attack(spec_, point);
-  return substrate.ideal()
-             ? core::OneBurstModel::p_success(design, attack)
-             : core::DegradedSubstrateModel::one_burst(design, attack,
-                                                       substrate);
-}
-
-std::string CampaignRunner::sweep_row(const CampaignPoint& point, double model,
-                                      const sim::MonteCarloResult* mc) const {
-  std::vector<std::string> cells{
-      std::to_string(point.break_in), std::to_string(point.congestion),
-      point.mapping, std::to_string(point.layers), fmt(model)};
-  if (mc_enabled()) {
-    if (mc == nullptr)
-      throw std::logic_error("CampaignRunner: missing MC result for " +
-                             point.key);
-    cells.insert(cells.end(),
-                 {fmt(mc->p_success), fmt(mc->ci.lo), fmt(mc->ci.hi)});
-    if (spec_.auto_trials.enabled) {
-      // The resolved count makes an auto row self-describing: resuming or
-      // re-running the campaign reproduces these bytes without re-deriving
-      // the stopping decision from scratch elsewhere.
-      cells.push_back(std::to_string(mc->resolved_trials));
-    }
-  }
-  return csv_line(cells);
-}
-
-std::string CampaignRunner::sweep_na_row(const CampaignPoint& point) const {
-  std::vector<std::string> cells{
-      std::to_string(point.break_in), std::to_string(point.congestion),
-      point.mapping, std::to_string(point.layers), "NA"};
-  if (mc_enabled()) {
-    cells.insert(cells.end(), {"NA", "NA", "NA"});
-    if (spec_.auto_trials.enabled) cells.push_back("NA");
-  }
-  return csv_line(cells);
-}
-
-std::vector<std::string> CampaignRunner::sweep_headers() const {
-  std::vector<std::string> headers{"N_T", "N_C", "mapping", "L", "P_S_model"};
-  if (mc_enabled()) {
-    headers.insert(headers.end(), {"P_S_mc", "mc_ci_lo", "mc_ci_hi"});
-    if (spec_.auto_trials.enabled)
-      headers.push_back("mc_trials_resolved");
-  }
-  return headers;
+common::ThreadPool& CampaignRunner::pool() const {
+  return options_.pool != nullptr ? *options_.pool
+                                  : common::ThreadPool::shared();
 }
 
 std::string CampaignRunner::loaded(int index) const {
@@ -403,14 +365,14 @@ std::string CampaignRunner::figure_csv(const std::string& figure_id) const {
 }
 
 std::string CampaignRunner::sweep_csv() const {
-  std::string out = csv_line(sweep_headers());
+  std::string out = csv_line(sweep_headers(spec_));
   for (const auto& point : points_) {
     const std::string& digest =
         digests_[static_cast<std::size_t>(point.index)];
     if (auto content = store_.load(digest)) {
       out += *content;
     } else if (store_.is_quarantined(digest)) {
-      out += sweep_na_row(point);  // degraded mode: keep the row, mark NA
+      out += sweep_na_row(spec_, point);  // degraded mode: keep the row, mark NA
     } else {
       out += loaded(point.index);  // pending — throws with the point key
     }
@@ -442,10 +404,10 @@ std::vector<std::string> CampaignRunner::write_outputs(
         digests_[static_cast<std::size_t>(point.index)];
     if (!store_.has(digest) && store_.is_quarantined(digest))
       continue;  // degraded mode: a quarantined figure has no bytes to emit
-    const RegisteredFigure* entry = find_figure(point.figure_id);
+    const RegisteredFigure& entry = registered_figure(point);
     const std::string render = loaded(point.index);
-    emit(std::string(entry->bench_name) + ".txt", render);
-    emit(std::string(entry->bench_name) + ".csv",
+    emit(std::string(entry.bench_name) + ".txt", render);
+    emit(std::string(entry.bench_name) + ".csv",
          experiments::extract_figure_csv(render));
   }
   return written;

@@ -8,18 +8,18 @@
 // the same store re-executes only the unfinished points and yields final
 // outputs bit-identical to an uninterrupted run.
 //
-// Execution model per mode:
-//   figures — points run sequentially on the caller's thread; each figure
-//             generator internally fans out over ThreadPool::shared() (its
-//             batches must own the pool — nesting a second parallel_for
-//             would deadlock), and its output is already bit-identical at
-//             any pool size.
-//   sweep   — points are sharded across the pool in checkpoint_interval
-//             chunks: the analytic column via a slot-per-point parallel_for
-//             and the Monte Carlo overlay via sim::SweepRunner's
-//             trial-indexed deterministic reduction, so results are
-//             bit-identical for every worker count; completed chunks are
-//             checkpointed point by point in expansion order.
+// Every executor computes points through compute_points(), which touches
+// no store: run() calls it one figure at a time or 16 sweep points at a
+// time and checkpoints each batch in expansion order; a distributed worker
+// calls it for one point. Per mode:
+//   figures — each figure generator fans out over ThreadPool::shared()
+//             itself (its batches must own the pool — nesting a second
+//             parallel_for would deadlock), and its output is already
+//             bit-identical at any pool size.
+//   sweep   — the analytic column inline, the Monte Carlo overlay as one
+//             sim::run_monte_carlo pass over all the points' trials, each
+//             reduced in its own trial order, so results are bit-identical
+//             for every worker count and batch.
 #pragma once
 
 #include <functional>
@@ -34,22 +34,14 @@ namespace sos::common {
 class ThreadPool;
 }  // namespace sos::common
 
-namespace sos::sim {
-struct MonteCarloResult;
-}  // namespace sos::sim
-
 namespace sos::campaign {
 
 struct CampaignOptions {
   std::string store_dir;
 
-  /// Sweep-mode sharding pool; null = ThreadPool::shared(). Figures mode
-  /// always uses the shared pool (inside the generators).
+  /// Sweep-mode pool; null = ThreadPool::shared(). Figures mode always
+  /// uses the shared pool (inside the generators).
   common::ThreadPool* pool = nullptr;
-
-  /// Sweep-mode points computed between checkpoints (figures mode
-  /// checkpoints after every figure regardless).
-  int checkpoint_interval = 16;
 
   /// Test/ops injection hook, invoked after each newly computed point has
   /// been durably stored, with the running count of computed points. A
@@ -84,6 +76,13 @@ struct CampaignReport {
   bool degraded() const noexcept { return quarantined > 0; }
 };
 
+/// Computes the result bytes of `points` (expanded from `spec`) with no
+/// store interaction: the bytes run() checkpoints and a distributed worker
+/// sends back. Sweep points run on `pool`; figures on ThreadPool::shared().
+std::vector<std::string> compute_points(const ScenarioSpec& spec,
+                                        const std::vector<CampaignPoint>& points,
+                                        common::ThreadPool& pool);
+
 class CampaignRunner {
  public:
   /// Validates and expands the spec eagerly; opens (creates) the store.
@@ -107,13 +106,7 @@ class CampaignRunner {
   /// computed, its record is cleared.
   CampaignReport run();
 
-  /// Computes one point's result bytes in-process, with no store
-  /// interaction — the unit of work a pool worker process executes.
-  /// Bit-identical to what run() would checkpoint for the same point:
-  /// figures mode invokes the registered generator; sweep mode is
-  /// exactly the checkpoint_interval=1 chunk path (analytic column +
-  /// optional SweepRunner Monte Carlo overlay with the trial-indexed
-  /// deterministic reduction).
+  /// compute_points() for point `index` alone, on the options' pool.
   std::string compute_point_bytes(int index) const;
 
   // --- Final outputs, assembled from the store (points must be done). ---
@@ -136,22 +129,7 @@ class CampaignRunner {
 
  private:
   std::string loaded(int index) const;  // store load or throw
-  void run_figure_points(const std::vector<int>& pending, int& computed);
-  void run_sweep_points(const std::vector<int>& pending, int& computed);
-  /// True when sweep rows carry a Monte Carlo column block — a fixed trial
-  /// count or an auto stopping rule.
-  bool mc_enabled() const noexcept;
-  /// One adaptive point: builds the spec's StoppingRule and runs the
-  /// configured sim::sampling estimator (which parallelizes its trials over
-  /// `pool` internally). Deterministic in (spec, point) alone, so cached,
-  /// resumed, and distributed executions agree byte-for-byte.
-  sim::MonteCarloResult run_auto_point(const CampaignPoint& point,
-                                       common::ThreadPool& pool) const;
-  double sweep_model_value(const CampaignPoint& point) const;
-  std::string sweep_row(const CampaignPoint& point, double model,
-                        const sim::MonteCarloResult* mc) const;
-  std::string sweep_na_row(const CampaignPoint& point) const;
-  std::vector<std::string> sweep_headers() const;
+  common::ThreadPool& pool() const;
 
   ScenarioSpec spec_;
   CampaignOptions options_;

@@ -8,8 +8,9 @@
 //       whole figure suite). Computes pending points against the store,
 //       serves the rest warm, writes final outputs.
 //       Flags: --store=DIR (default campaign-store/<name>), --results=DIR
-//       (default results), --checkpoint-interval=N, and the usual parameter
-//       overrides --n --sos --filters --pb --mc-trials --mc-walks --seed.
+//       (default results), and the usual parameter overrides --n --sos
+//       --filters --pb --mc-trials --mc-walks --seed. Sweep points are
+//       checkpointed in batches of 16, figures one at a time.
 //       --abort-after=N is a crash-test hook: the process SIGKILLs itself
 //       after N checkpoints, so resume behavior can be exercised end to end.
 //       --distributed executes the points out of process, over TCP serve
@@ -79,8 +80,7 @@ int usage(std::FILE* out) {
                "usage: sos_campaign list\n"
                "       sos_campaign run <spec-file|figure-id|all> "
                "[--store=DIR] [--results=DIR]\n"
-               "                    [--checkpoint-interval=N] "
-               "[--abort-after=N] [--n=..] [--sos=..]\n"
+               "                    [--abort-after=N] [--n=..] [--sos=..]\n"
                "                    [--filters=..] [--pb=..] [--mc-trials=..] "
                "[--mc-walks=..] [--seed=..]\n"
                "                    [--distributed] [--local-workers=N] "
@@ -352,8 +352,6 @@ int cmd_run(const common::Args& args) {
 
   campaign::CampaignOptions options;
   options.store_dir = store_dir;
-  options.checkpoint_interval = static_cast<int>(
-      args.get_int("checkpoint-interval", options.checkpoint_interval));
 
   const auto abort_after = args.get_int("abort-after", 0);
   if (abort_after > 0) {

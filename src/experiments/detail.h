@@ -14,7 +14,6 @@
 #include "core/successive_model.h"
 #include "experiments/figures.h"
 #include "sim/monte_carlo.h"
-#include "sim/sweep.h"
 
 namespace sos::experiments::detail {
 
@@ -59,42 +58,44 @@ inline sim::MonteCarloResult run_mc(
 }
 
 /// Batched Monte Carlo for figure sweeps: queue every point first, run them
-/// all over the shared ThreadPool, then read results in queue order. Each
-/// point's result is bit-identical to the equivalent run_mc call.
+/// all as one pass over the shared ThreadPool, then read results in queue
+/// order. Each point's result is bit-identical to the equivalent run_mc call.
 class McBatch {
  public:
   explicit McBatch(const Params& params) : params_(params) {}
 
   int add(const core::SosDesign& design, const core::OneBurstAttack& attack) {
     const attack::OneBurstAttacker attacker{attack};
-    return runner_.add(
-        design,
-        [attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
-          return attacker.execute(overlay, rng);
-        },
-        mc_config(params_));
+    return queue(design, [attacker](sosnet::SosOverlay& overlay,
+                                    common::Rng& rng) {
+      return attacker.execute(overlay, rng);
+    });
   }
 
   int add(const core::SosDesign& design, const core::SuccessiveAttack& attack,
           const attack::SuccessiveAttackerOptions& options = {}) {
     const attack::SuccessiveAttacker attacker{attack, options};
-    return runner_.add(
-        design,
-        [attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
-          return attacker.execute(overlay, rng);
-        },
-        mc_config(params_));
+    return queue(design, [attacker](sosnet::SosOverlay& overlay,
+                                    common::Rng& rng) {
+      return attacker.execute(overlay, rng);
+    });
   }
 
-  void run() { runner_.run(); }
+  void run() { results_ = sim::run_monte_carlo(points_); }
 
   const sim::MonteCarloResult& result(int index) const {
-    return runner_.result(index);
+    return results_.at(static_cast<std::size_t>(index));
   }
 
  private:
+  int queue(const core::SosDesign& design, sim::AttackFn attack) {
+    points_.push_back({design, std::move(attack), mc_config(params_)});
+    return static_cast<int>(points_.size()) - 1;
+  }
+
   Params params_;
-  sim::SweepRunner runner_;
+  std::vector<sim::MonteCarloPoint> points_;
+  std::vector<sim::MonteCarloResult> results_;
 };
 
 /// Batched closed-form evaluation for the figures' analytic columns: queue

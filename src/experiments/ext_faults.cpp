@@ -49,24 +49,22 @@ Figure ext_fault_tolerance(const Params& params) {
   sim::MonteCarloConfig mc = detail::mc_config(params);
   mc.trials = fault_trials(params, 48);
 
-  sim::SweepRunner runner;
   struct CrashPoint {
     double downtime = 0.0;
     int budget = 0;
     double analytic = 0.0;
-    int mc_index = -1;
   };
   std::vector<CrashPoint> crash_points;
+  std::vector<sim::MonteCarloPoint> mc_points;
   for (const int budget : budgets) {
     core::SuccessiveAttack attack = detail::default_successive(params);
     attack.congestion_budget = budget;
     for (const double downtime : downtimes) {
-      CrashPoint point;
-      point.downtime = downtime;
-      point.budget = budget;
       const core::SubstrateFaults substrate{1.0 - downtime, 1.0, 1.0};
-      point.analytic =
-          core::DegradedSubstrateModel::successive(design, attack, substrate);
+      crash_points.push_back(
+          {downtime, budget,
+           core::DegradedSubstrateModel::successive(design, attack,
+                                                    substrate)});
 
       // Steady-state churn with this downtime: up = mtbf / (mtbf + mttr).
       faults::FaultConfig faults;
@@ -75,27 +73,27 @@ Figure ext_fault_tolerance(const Params& params) {
         faults.node_mttr = downtime;
       }
       const attack::SuccessiveAttacker attacker{attack};
-      point.mc_index = runner.add(
-          design,
-          [attacker, faults](sosnet::SosOverlay& overlay, common::Rng& rng) {
-            auto outcome = attacker.execute(overlay, rng);
-            faults::apply_steady_state_faults(faults, overlay, rng);
-            return outcome;
-          },
-          mc);
-      crash_points.push_back(point);
+      mc_points.push_back(
+          {design,
+           [attacker, faults](sosnet::SosOverlay& overlay, common::Rng& rng) {
+             auto outcome = attacker.execute(overlay, rng);
+             faults::apply_steady_state_faults(faults, overlay, rng);
+             return outcome;
+           },
+           mc});
     }
   }
-  runner.run();
+  const auto mc_results = sim::run_monte_carlo(mc_points);
 
   double max_gap = 0.0, gap_sum = 0.0;
   for (const int budget : budgets) {
     common::Series analytic_series{"NC=" + std::to_string(budget) + " model",
                                    {}, {}};
     common::Series mc_series{"NC=" + std::to_string(budget) + " MC", {}, {}};
-    for (const CrashPoint& point : crash_points) {
+    for (std::size_t i = 0; i < crash_points.size(); ++i) {
+      const CrashPoint& point = crash_points[i];
       if (point.budget != budget) continue;
-      const auto& result = runner.result(point.mc_index);
+      const auto& result = mc_results[i];
       const double gap = std::abs(result.p_success - point.analytic);
       max_gap = std::max(max_gap, gap);
       gap_sum += gap;

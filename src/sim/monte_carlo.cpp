@@ -1,6 +1,7 @@
 #include "sim/monte_carlo.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -149,31 +150,66 @@ MonteCarloResult reduce_in_trial_order(const MonteCarloConfig& config,
 
 }  // namespace internal
 
+std::vector<MonteCarloResult> run_monte_carlo(
+    const std::vector<MonteCarloPoint>& points, ThreadPool* pool,
+    int threads) {
+  // Point p owns the pass's trials [first[p], first[p + 1]).
+  std::vector<int> first{0};
+  for (const MonteCarloPoint& point : points) {
+    point.design.validate();
+    const MonteCarloConfig& config = point.config;
+    if (config.trials < 1)
+      throw std::invalid_argument("MonteCarlo: trials must be >= 1");
+    if (config.walks_per_trial < 1)
+      throw std::invalid_argument("MonteCarlo: walks_per_trial must be >= 1");
+    if (config.trials > std::numeric_limits<int>::max() - first.back())
+      throw std::invalid_argument(
+          "MonteCarlo: a list holds at most INT_MAX trials");
+    first.push_back(first.back() + config.trials);
+  }
+  std::vector<std::vector<internal::TrialRecord>> records;
+  std::vector<std::vector<std::int16_t>> hops;
+  for (const MonteCarloPoint& point : points) {
+    const auto trials = static_cast<std::size_t>(point.config.trials);
+    records.emplace_back(trials);
+    hops.emplace_back(
+        trials * static_cast<std::size_t>(point.config.walks_per_trial));
+  }
+
+  MonteCarloConfig schedule;
+  schedule.threads = threads;
+  schedule.pool = pool;
+  std::vector<internal::TrialContext> contexts;
+  internal::for_each_trial(
+      schedule, 0, first.back(), contexts,
+      [&](int trial, internal::TrialContext& context) {
+        const auto p = static_cast<std::size_t>(
+            std::upper_bound(first.begin(), first.end(), trial) -
+            first.begin() - 1);
+        const MonteCarloPoint& point = points[p];
+        const auto local = static_cast<std::size_t>(trial - first[p]);
+        internal::run_trial(
+            point.design, point.attack, point.config,
+            internal::trial_seed(point.config, static_cast<int>(local)),
+            context, records[p][local],
+            hops[p].data() +
+                local * static_cast<std::size_t>(point.config.walks_per_trial));
+      });
+
+  std::vector<MonteCarloResult> results;
+  results.reserve(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p)
+    results.push_back(internal::reduce_in_trial_order(points[p].config,
+                                                      records[p], hops[p]));
+  return results;
+}
+
 MonteCarloResult run_monte_carlo(const core::SosDesign& design,
                                  const AttackFn& attack,
                                  const MonteCarloConfig& config) {
-  design.validate();
-  if (config.trials < 1)
-    throw std::invalid_argument("MonteCarlo: trials must be >= 1");
-  if (config.walks_per_trial < 1)
-    throw std::invalid_argument("MonteCarlo: walks_per_trial must be >= 1");
-
-  std::vector<internal::TrialRecord> records(
-      static_cast<std::size_t>(config.trials));
-  const std::size_t walks_per_trial =
-      static_cast<std::size_t>(config.walks_per_trial);
-  std::vector<std::int16_t> hops(static_cast<std::size_t>(config.trials) *
-                                 walks_per_trial);
-  std::vector<internal::TrialContext> contexts;
-  internal::for_each_trial(
-      config, 0, config.trials, contexts,
-      [&](int trial, internal::TrialContext& context) {
-        internal::run_trial(
-            design, attack, config, internal::trial_seed(config, trial),
-            context, records[static_cast<std::size_t>(trial)],
-            hops.data() + static_cast<std::size_t>(trial) * walks_per_trial);
-      });
-  return internal::reduce_in_trial_order(config, records, hops);
+  return run_monte_carlo({MonteCarloPoint{design, attack, config}},
+                         config.pool, config.threads)
+      .front();
 }
 
 }  // namespace sos::sim

@@ -12,7 +12,8 @@
 // result buffer, and per-trial measurements land in trial-indexed arrays
 // sized once up front. Those arrays are reduced in fixed trial order after
 // the parallel phase, so the result is bit-identical for every thread count
-// at a given seed.
+// at a given seed. A list of points (a figure or campaign sweep) runs as
+// one such pass over all of their trials.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +89,28 @@ struct MonteCarloResult {
 };
 
 /// Attack to apply to a freshly built overlay. Must leave its footprint in
-/// the returned outcome (used for the mean_* fields).
+/// the returned outcome (used for the mean_* fields). Trials of one point
+/// may call it concurrently.
 using AttackFn =
     std::function<attack::AttackOutcome(sosnet::SosOverlay&, common::Rng&)>;
 
+/// One point of a batch: the arguments of a single run_monte_carlo call.
+struct MonteCarloPoint {
+  core::SosDesign design;
+  AttackFn attack;
+  MonteCarloConfig config;  // its threads and pool are not consulted
+};
+
+/// Runs the trials of every point as one pass of trial blocks on `pool`
+/// (null = ThreadPool::shared()) with up to `threads` workers (0 = all;
+/// 1 = inline), so a lone point fills the pool and many small points keep
+/// it busy together. Each point is reduced in its own trial order: results
+/// come back in point order, each bit-identical to a standalone call.
+std::vector<MonteCarloResult> run_monte_carlo(
+    const std::vector<MonteCarloPoint>& points, ThreadPool* pool = nullptr,
+    int threads = 0);
+
+/// One point on config.pool with config.threads workers.
 MonteCarloResult run_monte_carlo(const core::SosDesign& design,
                                  const AttackFn& attack,
                                  const MonteCarloConfig& config);

@@ -1,9 +1,8 @@
 // Internal trial-execution machinery: the one place a trial runs. Every
-// estimator — run_monte_carlo, the SweepRunner and sim::sampling's sequential
-// and stratified estimators — executes its trials through run_trial, and all
-// but the point-major SweepRunner schedule them through for_each_trial. Not
-// part of the public API surface — include sim/monte_carlo.h, sim/sweep.h or
-// sim/sampling.h instead.
+// estimator — run_monte_carlo (one point or a list) and sim::sampling's
+// sequential and stratified estimators — executes its trials through
+// run_trial and schedules them through for_each_trial. Not part of the
+// public API surface — include sim/monte_carlo.h or sim/sampling.h instead.
 //
 // The contract that makes thread count irrelevant to the result: every trial
 // derives its RNG streams from its trial seed alone (a pure function of the
@@ -33,9 +32,9 @@ struct TrialRecord {
   int delivered = 0;
 };
 
-/// Per-worker reusable state. The overlay persists across trials (and across
-/// sweep points of the same design) and is rebuilt in place, which is what
-/// makes the steady-state trial loop allocation-free.
+/// Per-worker reusable state. The overlay persists across the trials of one
+/// design and is rebuilt in place, which is what makes the steady-state
+/// trial loop allocation-free.
 struct TrialContext {
   std::optional<sosnet::SosOverlay> overlay;
   const core::SosDesign* built_from = nullptr;  // identity of overlay's design

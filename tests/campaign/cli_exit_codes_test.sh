@@ -97,13 +97,21 @@ grep -q "quarantined:" "$work/degraded_status.txt" || {
 }
 
 # Retry path: faults on the first attempt only -> the campaign completes
-# (exit 0) and its store reads complete (exit 0).
-"$cli" run "$spec" --store="$work/retried" --results="$work/results" \
-  --distributed --backoff-base=0.01 --backoff-max=0.05 \
-  --chaos-sigkill=1.0 > /dev/null 2>&1
+# (exit 0) and its store reads complete (exit 0). The SIGKILLed workers
+# must leave nothing behind in their temporary directory.
+mkdir -p "$work/tmp"
+TMPDIR="$work/tmp" "$cli" run "$spec" --store="$work/retried" \
+  --results="$work/results" --distributed --backoff-base=0.01 \
+  --backoff-max=0.05 --chaos-sigkill=1.0 > /dev/null 2>&1
 expect_rc 0 $? "distributed run that retries past first-attempt faults"
 "$cli" status "$work/retried" > /dev/null 2>&1
 expect_rc 0 $? "status after distributed recovery"
+if compgen -G "$work/tmp/sos-serve-*" > /dev/null; then
+  echo "FAIL: killed serve workers left directories in TMPDIR" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: killed serve workers left nothing in TMPDIR"
+fi
 
 # Quarantine is not a tombstone: a later run without chaos recomputes the
 # quarantined points and clears the records.

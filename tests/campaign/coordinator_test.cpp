@@ -149,7 +149,7 @@ class CoordinatorCore : public ::testing::Test {
   Coordinator& start(const RemotePoolOptions& options) {
     core_.reset();
     runner_ = std::make_unique<CampaignRunner>(
-        tiny_sweep(), CampaignOptions{options.store_dir, nullptr, 1, nullptr});
+        tiny_sweep(), CampaignOptions{options.store_dir, nullptr, nullptr});
     core_ = std::make_unique<Coordinator>(*runner_, options, at(0));
     return *core_;
   }
@@ -197,6 +197,19 @@ TEST_F(CoordinatorCore, RegisteredWorkersStealShardsInExpansionOrder) {
   EXPECT_EQ(assigned(core.tick(at(0.06)), a), (Shard{"6@0", "7@0"}));
   EXPECT_EQ(core.report().computed, 3);
   EXPECT_EQ(core.next_wakeup(), at(0.1));  // nothing queued: the next beat
+}
+
+TEST_F(CoordinatorCore, BusyFleetSleepsUntilTheNextBeatDespiteAQueue) {
+  Coordinator& core = start(options());
+  const FakeWorker a = worker(1);
+  join(a, 0);
+  ASSERT_EQ(assigned(core.tick(at(0.01)), a), (Shard{"0@0", "1@0"}));
+  // Six eligible points wait, but the only live session is busy: nothing
+  // can be assigned before a RESULT arrives, which wakes the poll loop.
+  EXPECT_EQ(core.next_wakeup(), at(0.05));
+  // Idle again, the queue is due at once.
+  core.receive(a.id, a.result(0) + a.result(1), at(0.02));
+  EXPECT_LE(core.next_wakeup(), at(0.02));
 }
 
 TEST_F(CoordinatorCore, LegacyAndWrongKeyPeersAreRejectedBeforeAnyAssign) {
@@ -446,7 +459,7 @@ TEST_F(CoordinatorCore, RestoredJournalNeverRefundsAttempts) {
 
 TEST_F(CoordinatorCore, SettledStoreMatchesTheInProcessRunnerByteForByte) {
   const std::string reference = (root_ / "reference").string();
-  CampaignRunner{tiny_sweep(), CampaignOptions{reference, nullptr, 1, nullptr}}
+  CampaignRunner{tiny_sweep(), CampaignOptions{reference, nullptr, nullptr}}
       .run();
 
   auto opts = options();

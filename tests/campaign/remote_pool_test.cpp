@@ -192,7 +192,6 @@ TEST_F(RemotePoolTest, ResumesFromInProcessCheckpoints) {
 
   CampaignOptions crash_options;
   crash_options.store_dir = store("s");
-  crash_options.checkpoint_interval = 2;
   crash_options.checkpoint_hook = [](int completed) {
     if (completed == 3) throw std::runtime_error("simulated crash");
   };

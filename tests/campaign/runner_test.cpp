@@ -101,7 +101,6 @@ TEST_F(CampaignSmoke, InterruptedCampaignResumesWithIdenticalBytes) {
   // the same place kill -9 would, losing only in-flight points.
   CampaignOptions crash_options;
   crash_options.store_dir = store("crashed");
-  crash_options.checkpoint_interval = 2;
   crash_options.checkpoint_hook = [](int completed) {
     if (completed == 3) throw std::runtime_error("simulated crash");
   };
@@ -144,21 +143,6 @@ TEST_F(CampaignRunnerTest, SweepCsvBitIdenticalAcrossWorkerCounts) {
     CampaignOptions options;
     options.store_dir = store("threads" + std::to_string(threads));
     options.pool = &pool;
-    CampaignRunner runner{spec, options};
-    runner.run();
-    csvs.push_back(runner.sweep_csv());
-  }
-  EXPECT_EQ(csvs[0], csvs[1]);
-  EXPECT_EQ(csvs[0], csvs[2]);
-}
-
-TEST_F(CampaignRunnerTest, CheckpointIntervalDoesNotChangeBytes) {
-  const auto spec = tiny_sweep();
-  std::vector<std::string> csvs;
-  for (const int interval : {1, 3, 100}) {
-    CampaignOptions options;
-    options.store_dir = store("interval" + std::to_string(interval));
-    options.checkpoint_interval = interval;
     CampaignRunner runner{spec, options};
     runner.run();
     csvs.push_back(runner.sweep_csv());
@@ -251,10 +235,10 @@ TEST_F(CampaignRunnerTest, ManifestPinsTheExpansion) {
 }
 
 TEST_F(CampaignRunnerTest, CheckpointHookThrowingMidChunkKeepsCountsExact) {
-  // A hook that throws in the middle of a sharded chunk (interval 3, crash
-  // after the 4th durable point — one point into the second chunk) must
-  // leave the store holding exactly the checkpointed points: nothing from
-  // the chunk's in-flight remainder, nothing lost.
+  // A hook that throws in the middle of a batch (the 8 points are one
+  // batch; crash after its 4th durable point) must leave the store holding
+  // exactly the checkpointed points: nothing from the batch's computed but
+  // unstored remainder, nothing lost.
   const auto spec = tiny_sweep();
 
   CampaignOptions reference_options;
@@ -264,9 +248,8 @@ TEST_F(CampaignRunnerTest, CheckpointHookThrowingMidChunkKeepsCountsExact) {
 
   CampaignOptions crash_options;
   crash_options.store_dir = store("crashed");
-  crash_options.checkpoint_interval = 3;
   crash_options.checkpoint_hook = [](int completed) {
-    if (completed == 4) throw std::runtime_error("mid-chunk crash");
+    if (completed == 4) throw std::runtime_error("mid-batch crash");
   };
   EXPECT_THROW((CampaignRunner{spec, crash_options}.run()),
                std::runtime_error);

@@ -1,7 +1,7 @@
 // Distributed trials=auto parity (part of `ctest -L sampling-smoke`): a
-// pool worker's unit of work is CampaignRunner::compute_point_bytes, so a
-// stopping-rule campaign must produce byte-identical output whether the
-// points run in-process or in forked loopback workers. Lives in the
+// pool worker computes its points through the same compute_points as an
+// in-process run, so a stopping-rule campaign must produce byte-identical
+// output whether the points run in-process or in forked loopback workers. Lives in the
 // robustness binary because the pool forks workers.
 #include <gtest/gtest.h>
 

@@ -1,6 +1,5 @@
 // SamplingSmoke — `ctest -L sampling-smoke`: a tiny trials=auto campaign
-// end-to-end through both estimators, checkpoint-interval invariance, and
-// crash/resume byte identity. The stopped trial counts live in the result
+// end-to-end through both estimators, and crash/resume byte identity. The stopped trial counts live in the result
 // rows (mc_trials_resolved), so a resumed campaign reproduces a cold run
 // exactly even though no fixed trial count appears in the spec.
 #include <gtest/gtest.h>
@@ -82,24 +81,6 @@ TEST_F(SamplingSmoke, EveryEstimatorRunsEndToEndWithSelfDescribingRows) {
   }
 }
 
-TEST_F(SamplingSmoke, CheckpointIntervalNeverChangesAutoCampaignBytes) {
-  const auto spec = auto_sweep("stratified");
-  std::string reference;
-  for (const int interval : {1, 3}) {
-    CampaignOptions options;
-    options.store_dir = store("ckpt" + std::to_string(interval));
-    options.checkpoint_interval = interval;
-    CampaignRunner runner{spec, options};
-    runner.run();
-    if (reference.empty()) {
-      reference = runner.sweep_csv();
-    } else {
-      EXPECT_EQ(runner.sweep_csv(), reference) << "interval=" << interval;
-    }
-  }
-  EXPECT_FALSE(reference.empty());
-}
-
 TEST_F(SamplingSmoke, CrashedAutoCampaignResumesWithIdenticalBytes) {
   const auto spec = auto_sweep("stratified");
 
@@ -110,7 +91,6 @@ TEST_F(SamplingSmoke, CrashedAutoCampaignResumesWithIdenticalBytes) {
 
   CampaignOptions crash_options;
   crash_options.store_dir = store("crashed");
-  crash_options.checkpoint_interval = 1;
   crash_options.checkpoint_hook = [](int completed) {
     if (completed == 2) throw std::runtime_error("simulated crash");
   };

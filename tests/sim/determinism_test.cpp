@@ -3,10 +3,13 @@
 // alone and the reduction runs in fixed trial order.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "attack/one_burst_attacker.h"
 #include "attack/successive_attacker.h"
 #include "sim/monte_carlo.h"
-#include "sim/sweep.h"
 #include "common/thread_pool.h"
 
 namespace sos::sim {
@@ -42,6 +45,13 @@ void expect_identical(const MonteCarloResult& a, const MonteCarloResult& b) {
   EXPECT_EQ(a.mean_congested_filters, b.mean_congested_filters);
   EXPECT_EQ(a.mean_disclosed, b.mean_disclosed);
   EXPECT_EQ(a.mean_delivery_hops, b.mean_delivery_hops);
+  EXPECT_EQ(a.resolved_trials, b.resolved_trials);
+  EXPECT_EQ(a.wilson.lo, b.wilson.lo);
+  EXPECT_EQ(a.wilson.hi, b.wilson.hi);
+  EXPECT_EQ(a.stopped_by_rule, b.stopped_by_rule);
+  EXPECT_EQ(a.capped, b.capped);
+  EXPECT_EQ(a.strata.size(), b.strata.size());
+  EXPECT_EQ(a.estimator_note, b.estimator_note);
 }
 
 TEST(MonteCarloDeterminism, ThreadCountNeverChangesAnyResultField) {
@@ -79,39 +89,58 @@ TEST(MonteCarloDeterminism, RepeatedRunsReuseWorkerStateWithoutDrift) {
     expect_identical(first, run_monte_carlo(design, attack_fn, config));
 }
 
-TEST(MonteCarloDeterminism, SweepPointsMatchStandaloneRuns) {
-  const auto design_a = small_design(core::MappingPolicy::one_to_one());
-  const auto design_b = small_design(core::MappingPolicy::one_to_all());
+TEST(MonteCarloDeterminism, PointListMatchesStandaloneRunsAtEveryPoolSize) {
+  // Different designs, seeds and trial counts in one pass; the 2-trial
+  // point has fewer trials than the larger pools have workers.
   const AttackFn attack_fn = successive_fn();
-  MonteCarloConfig config{.trials = 10, .walks_per_trial = 5, .seed = 99,
-                          .threads = 1};
+  const std::vector<MonteCarloPoint> points{
+      {small_design(core::MappingPolicy::one_to_one()), attack_fn,
+       {.trials = 10, .walks_per_trial = 5, .seed = 99}},
+      {small_design(core::MappingPolicy::one_to_all()), attack_fn,
+       {.trials = 2, .walks_per_trial = 3, .seed = 7}},
+      {small_design(core::MappingPolicy::one_to_two()), attack_fn,
+       {.trials = 17, .walks_per_trial = 4, .seed = 99}},
+  };
+  std::vector<MonteCarloResult> standalone;
+  for (MonteCarloPoint point : points) {
+    point.config.threads = 1;
+    standalone.push_back(
+        run_monte_carlo(point.design, point.attack, point.config));
+  }
 
-  ThreadPool pool{3};
-  SweepRunner runner{&pool};
-  const int a = runner.add(design_a, attack_fn, config);
-  const int b = runner.add(design_b, attack_fn, config);
-  runner.run();
-
-  expect_identical(run_monte_carlo(design_a, attack_fn, config),
-                   runner.result(a));
-  expect_identical(run_monte_carlo(design_b, attack_fn, config),
-                   runner.result(b));
+  for (const int size : {1, 3, 8}) {
+    ThreadPool pool{size};
+    const auto results = run_monte_carlo(points, &pool);
+    ASSERT_EQ(results.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      SCOPED_TRACE("pool=" + std::to_string(size) +
+                   " point=" + std::to_string(i));
+      expect_identical(standalone[i], results[i]);
+    }
+  }
 }
 
-TEST(MonteCarloDeterminism, SweepRunIsIncremental) {
-  const auto design = small_design(core::MappingPolicy::one_to_two());
+TEST(MonteCarloDeterminism, OnePointCallRunsTrialsConcurrently) {
+  // A lone point spreads its trials over the pool: the first trial to start
+  // waits, for at most 10 s, until a second one has started beside it.
   const AttackFn attack_fn = successive_fn();
-  MonteCarloConfig config{.trials = 6, .walks_per_trial = 3, .seed = 4,
-                          .threads = 1};
+  std::atomic<int> started{0};
+  std::atomic<bool> overlapped{false};
+  const AttackFn waiting = [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (started.load() >= 2) overlapped.store(true);
+    return attack_fn(overlay, rng);
+  };
 
-  SweepRunner runner;
-  const int first = runner.add(design, attack_fn, config);
-  runner.run();
-  const auto snapshot = runner.result(first);
-  const int second = runner.add(design, attack_fn, config);
-  runner.run();  // must only run the new point
-  expect_identical(snapshot, runner.result(first));
-  expect_identical(snapshot, runner.result(second));
+  ThreadPool pool{2};
+  run_monte_carlo({{small_design(core::MappingPolicy::one_to_two()), waiting,
+                    {.trials = 4, .walks_per_trial = 2, .seed = 5}}},
+                  &pool);
+  EXPECT_TRUE(overlapped.load());
 }
 
 }  // namespace

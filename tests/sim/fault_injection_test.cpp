@@ -4,8 +4,9 @@
 
 #include "attack/successive_attacker.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "faults/fault_injector.h"
-#include "sim/sweep.h"
+#include "sim/monte_carlo.h"
 #include "sim/timeline.h"
 
 namespace sos::sim {
@@ -50,6 +51,28 @@ void expect_identical(const TimelineResult& a, const TimelineResult& b) {
     EXPECT_EQ(a.points[i].congested_filters, b.points[i].congested_filters);
     EXPECT_EQ(a.points[i].crashed_members, b.points[i].crashed_members);
   }
+}
+
+void expect_identical(const MonteCarloResult& a, const MonteCarloResult& b) {
+  EXPECT_EQ(a.p_success, b.p_success);
+  EXPECT_EQ(a.ci.lo, b.ci.lo);
+  EXPECT_EQ(a.ci.hi, b.ci.hi);
+  EXPECT_EQ(a.walks, b.walks);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.mean_broken, b.mean_broken);
+  EXPECT_EQ(a.mean_broken_sos, b.mean_broken_sos);
+  EXPECT_EQ(a.mean_congested, b.mean_congested);
+  EXPECT_EQ(a.mean_congested_sos, b.mean_congested_sos);
+  EXPECT_EQ(a.mean_congested_filters, b.mean_congested_filters);
+  EXPECT_EQ(a.mean_disclosed, b.mean_disclosed);
+  EXPECT_EQ(a.mean_delivery_hops, b.mean_delivery_hops);
+  EXPECT_EQ(a.resolved_trials, b.resolved_trials);
+  EXPECT_EQ(a.wilson.lo, b.wilson.lo);
+  EXPECT_EQ(a.wilson.hi, b.wilson.hi);
+  EXPECT_EQ(a.stopped_by_rule, b.stopped_by_rule);
+  EXPECT_EQ(a.capped, b.capped);
+  EXPECT_EQ(a.strata.size(), b.strata.size());
+  EXPECT_EQ(a.estimator_note, b.estimator_note);
 }
 
 TEST(FaultTimeline, DisabledFaultsAreBitIdenticalToThePlainEngine) {
@@ -111,40 +134,36 @@ TEST(FaultMonteCarlo, SteadyStateFaultsAreThreadCountInvariant) {
   config.node_mtbf = 4.0;
   config.node_mttr = 1.0;
   const attack::SuccessiveAttacker attacker{campaign()};
+  const AttackFn faulty = [&attacker, config](sosnet::SosOverlay& overlay,
+                                              common::Rng& rng) {
+    auto outcome = attacker.execute(overlay, rng);
+    faults::apply_steady_state_faults(config, overlay, rng);
+    return outcome;
+  };
+  ThreadPool pool{8};
   const auto run_with = [&](int threads) {
     MonteCarloConfig mc;
     mc.trials = 60;
     mc.threads = threads;
-    SweepRunner runner;
-    const int index = runner.add(
-        design,
-        [&attacker, config](sosnet::SosOverlay& overlay, common::Rng& rng) {
-          auto outcome = attacker.execute(overlay, rng);
-          faults::apply_steady_state_faults(config, overlay, rng);
-          return outcome;
-        },
-        mc);
-    runner.run();
-    return runner.result(index);
+    mc.pool = &pool;
+    return run_monte_carlo(design, faulty, mc);
   };
   const auto one = run_with(1);
-  const auto two = run_with(2);
-  const auto eight = run_with(8);
-  EXPECT_EQ(one.p_success, two.p_success);
-  EXPECT_EQ(one.p_success, eight.p_success);
-  EXPECT_EQ(one.deliveries, eight.deliveries);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(one, run_with(threads));
+  }
   // And faults genuinely bite: availability drops vs the fault-free run.
   MonteCarloConfig mc;
   mc.trials = 60;
-  SweepRunner runner;
-  const int index = runner.add(
+  mc.pool = &pool;
+  const auto fault_free = run_monte_carlo(
       design,
       [&attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
         return attacker.execute(overlay, rng);
       },
       mc);
-  runner.run();
-  EXPECT_LT(one.p_success, runner.result(index).p_success);
+  EXPECT_LT(one.p_success, fault_free.p_success);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attack/one_burst_attacker.h"
 #include "attack/random_congestion_attacker.h"
 
@@ -113,6 +115,11 @@ TEST(MonteCarlo, RejectsBadConfig) {
       run_monte_carlo(design, no_attack(),
                       MonteCarloConfig{.trials = 1, .walks_per_trial = 0}),
       std::invalid_argument);
+  // A list's trial count is checked before anything is allocated.
+  const int half = std::numeric_limits<int>::max() / 2 + 1;
+  EXPECT_THROW(run_monte_carlo({{design, no_attack(), {.trials = half}},
+                                {design, no_attack(), {.trials = half}}}),
+               std::invalid_argument);
 }
 
 TEST(MonteCarlo, ChordModeWorksEndToEnd) {
