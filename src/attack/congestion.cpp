@@ -1,9 +1,8 @@
 #include "attack/congestion.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
+#include "common/complement_index.h"
 #include "common/scan_mode.h"
 
 namespace sos::attack {
@@ -15,21 +14,6 @@ struct Target {
   bool is_filter = false;
   int index = -1;
 };
-
-/// #{j : rank[j] <= pick} for a non-decreasing `rank`, by a branch-free
-/// descent: each level is one compare and a conditional move, so the loop
-/// has no data-dependent branch to mispredict.
-int count_at_most(const std::vector<int>& rank, int pick) {
-  if (rank.empty()) return 0;
-  const int* base = rank.data();
-  std::size_t len = rank.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base = base[half] <= pick ? base + half : base;
-    len -= half;
-  }
-  return static_cast<int>(base - rank.data()) + (*base <= pick ? 1 : 0);
-}
 
 }  // namespace
 
@@ -56,6 +40,7 @@ void execute_congestion_phase(sosnet::SosOverlay& overlay,
   thread_local std::vector<Target> targets;
   thread_local std::vector<int> disclosed_nodes;
   thread_local std::vector<int> pool;
+  thread_local common::ComplementIndex pool_index;
   thread_local std::vector<std::uint64_t> picks;
   thread_local common::SampleScratch sample_scratch;
 
@@ -110,44 +95,28 @@ void execute_congestion_phase(sosnet::SosOverlay& overlay,
   // nodes plus nodes the attack already took off kGood — all recorded in
   // the network's dirty list), so instead of enumerating all N nodes we
   // sample positions in [0, pool_size) and map each to its complement
-  // element. Population and draw order match the explicit-pool reference
-  // exactly, so the consumed stream and chosen nodes are bit-identical.
+  // element through the index. Population and draw order match the
+  // explicit-pool reference exactly, so the consumed stream and chosen nodes
+  // are bit-identical.
   const bool dirty_ok = !full_scan && !overlay.network().health_scan_saturated();
   if (dirty_ok) {
-    auto& excl = pool;
-    excl.clear();
-    excl.insert(excl.end(), disclosed_nodes.begin(), disclosed_nodes.end());
+    auto& excluded = disclosed_nodes;  // no longer needed as targets
     for (const int node : overlay.network().touched_health())
-      if (!overlay.network().is_good(node)) excl.push_back(node);
-    std::sort(excl.begin(), excl.end());
-    excl.erase(std::unique(excl.begin(), excl.end()), excl.end());
-    const int pool_size = big_n - static_cast<int>(excl.size());
+      if (!overlay.network().is_good(node)) excluded.push_back(node);
+    pool_index.build(big_n, excluded);
+    const int pool_size = pool_index.size();
     if (pool_size > budget) {
-      // Rewrite the exclusion list in place as its rank table: excl[j] - j
-      // counts the pool nodes below excl[j], so the table is non-decreasing
-      // and the pick-th pool node is pick + #{j : rank[j] <= pick}.
-      auto& rank = excl;
-      for (std::size_t j = 0; j < rank.size(); ++j)
-        rank[j] -= static_cast<int>(j);
       rng.sample_without_replacement_into(
           static_cast<std::uint64_t>(pool_size),
           static_cast<std::uint64_t>(budget), picks, sample_scratch);
-      for (const auto pick : picks) {
-        const int position = static_cast<int>(pick);
-        congest_node(overlay, position + count_at_most(rank, position),
+      for (const auto pick : picks)
+        congest_node(overlay, pool_index.node_at(static_cast<int>(pick)),
                      outcome);
-      }
       return;
     }
-    // Budget covers the whole pool: walk the complement in ascending order
-    // (inherently O(N), as is congesting nearly every node).
-    auto next_excluded = excl.begin();
-    for (int node = 0; node < big_n; ++node) {
-      while (next_excluded != excl.end() && *next_excluded < node)
-        ++next_excluded;
-      if (next_excluded != excl.end() && *next_excluded == node) continue;
-      congest_node(overlay, node, outcome);
-    }
+    // Budget covers the whole pool: congest it in ascending order.
+    for (int position = 0; position < pool_size; ++position)
+      congest_node(overlay, pool_index.node_at(position), outcome);
     return;
   }
 

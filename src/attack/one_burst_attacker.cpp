@@ -1,11 +1,11 @@
 #include "attack/one_burst_attacker.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "attack/break_in.h"
 #include "attack/congestion.h"
 #include "attack/knowledge.h"
+#include "common/complement_index.h"
 
 namespace sos::attack {
 
@@ -74,19 +74,19 @@ AttackOutcome OneBurstAttacker::execute_conditioned(sosnet::SosOverlay& overlay,
 
   // Dictated servlet outcomes: a uniform servlet_victims-subset of the m
   // servlets is attempted, a uniform servlet_successes-subset of those
-  // succeeds.
+  // succeeds. The three draws below run one after another, so they share one
+  // scratch.
+  thread_local common::SampleScratch sample_scratch;
   thread_local std::vector<std::uint64_t> servlet_slots;
-  thread_local common::SampleScratch servlet_scratch;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(m),
       static_cast<std::uint64_t>(servlet_victims), servlet_slots,
-      servlet_scratch);
+      sample_scratch);
   thread_local std::vector<std::uint64_t> success_slots;
-  thread_local common::SampleScratch success_scratch;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(servlet_victims),
       static_cast<std::uint64_t>(servlet_successes), success_slots,
-      success_scratch);
+      sample_scratch);
   thread_local std::vector<std::uint8_t> forced;
   forced.assign(static_cast<std::size_t>(servlet_victims), 0);
   for (const auto slot : success_slots)
@@ -100,24 +100,18 @@ AttackOutcome OneBurstAttacker::execute_conditioned(sosnet::SosOverlay& overlay,
 
   // The remaining budget falls on the non-servlet population, with ordinary
   // Bernoulli draws (per-layer hardening applied by attempt_break_in).
-  // Victims are sampled as positions in [0, N - m) and mapped to node ids by
-  // skipping the (ascending) servlet ids.
-  thread_local std::vector<int> sorted_servlets;
-  sorted_servlets.assign(servlets.begin(), servlets.end());
-  std::sort(sorted_servlets.begin(), sorted_servlets.end());
+  // Victims are sampled as positions in [0, N - m) and mapped to node ids
+  // through the complement of the servlet ids.
+  thread_local common::ComplementIndex non_servlets;
+  non_servlets.build(big_n, servlets);
   thread_local std::vector<std::uint64_t> other_picks;
-  thread_local common::SampleScratch other_scratch;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(big_n - m),
       static_cast<std::uint64_t>(config_.break_in_budget - servlet_victims),
-      other_picks, other_scratch);
+      other_picks, sample_scratch);
   for (const auto pick : other_picks) {
-    int node = static_cast<int>(pick);
-    for (const int servlet : sorted_servlets) {
-      if (servlet <= node) ++node;
-    }
-    attempt_break_in(overlay, node, config_.break_in_success, knowledge, rng,
-                     outcome);
+    attempt_break_in(overlay, non_servlets.node_at(static_cast<int>(pick)),
+                     config_.break_in_success, knowledge, rng, outcome);
   }
 
   execute_congestion_phase(overlay, knowledge, config_.congestion_budget, rng,

@@ -326,17 +326,28 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
   const std::size_t walks_per_trial =
       static_cast<std::size_t>(config.walks_per_trial);
 
-  // Runs stratum h's trials [records.size(), target).
-  const auto run_stratum = [&](std::size_t h) {
-    Stratum& stratum = strata[h];
-    const int done = static_cast<int>(stratum.records.size());
-    if (stratum.target <= done) return;
-    stratum.records.resize(static_cast<std::size_t>(stratum.target));
-    stratum.hops.resize(static_cast<std::size_t>(stratum.target) *
-                        walks_per_trial);
+  // Runs every stratum's new trials [records.size(), target) as one pass over
+  // (stratum, trial) slots: stratum h owns the round's slots
+  // [first[h], first[h + 1]), so one round pays one pool barrier however many
+  // strata it feeds.
+  const auto run_round = [&] {
+    std::vector<int> first{0};
+    std::vector<int> done;
+    for (Stratum& stratum : strata) {
+      done.push_back(static_cast<int>(stratum.records.size()));
+      first.push_back(first.back() + stratum.target - done.back());
+      stratum.records.resize(static_cast<std::size_t>(stratum.target));
+      stratum.hops.resize(static_cast<std::size_t>(stratum.target) *
+                          walks_per_trial);
+    }
     internal::for_each_trial(
-        config, done, stratum.target, contexts,
-        [&](int trial, internal::TrialContext& context) {
+        config, 0, first.back(), contexts,
+        [&](int slot, internal::TrialContext& context) {
+          const auto h = static_cast<std::size_t>(
+              std::upper_bound(first.begin(), first.end(), slot) -
+              first.begin() - 1);
+          Stratum& stratum = strata[h];
+          const int trial = done[h] + slot - first[h];
           // Streams derive from (seed, stratum, trial index) alone, so the
           // run is deterministic for any thread count and any allocation
           // schedule that reaches the same per-stratum totals.
@@ -362,7 +373,7 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
     strata[h].target = pilot;
     total += pilot;
   }
-  for (std::size_t h = 0; h < strata.size(); ++h) run_stratum(h);
+  run_round();
 
   std::string note;
   bool stopped = false;
@@ -413,7 +424,7 @@ MonteCarloResult run_stratified(const core::SosDesign& design,
         common::apportion(next_total - total, neyman, false);
     for (std::size_t h = 0; h < strata.size(); ++h)
       strata[h].target += extra[h];
-    for (std::size_t h = 0; h < strata.size(); ++h) run_stratum(h);
+    run_round();
     total = next_total;
   }
 

@@ -23,7 +23,11 @@
 //
 // Both estimators run their trials on the plain engine (sim/trial_engine.h):
 // a stratum is an attack function that draws its conditioned servlet counts
-// from the trial's own stream before attacking. Conditioning is exact under
+// from the trial's own stream before attacking. A stratified round (the
+// pilot, then each Neyman doubling) runs every stratum's new trials as one
+// engine pass over (stratum, trial) slots, so it pays one pool barrier
+// however many strata it feeds; each trial's seed still derives from its
+// stratum and index alone. Conditioning is exact under
 // per-layer hardening: every servlet shares the same effective break-in
 // probability (P_B x the last layer's factor), and non-servlet attempts keep
 // drawing their own per-layer Bernoulli outcomes in-trial. Both estimators

@@ -61,7 +61,10 @@ void run_trial(const core::SosDesign& design, const AttackFn& attack,
 /// and thread count, in blocks of consecutive trials. `contexts` grows to the
 /// participant count and persists across calls, so consecutive rounds reuse
 /// warm overlays. Bodies write only to trial-owned slots, keeping the result
-/// independent of scheduling.
+/// independent of scheduling. A caller with several sets of trials (the
+/// points of a list, the strata of a stratified round) lays them end to end
+/// as slots of one call, so the batch pays one pool barrier and a small set
+/// never idles workers that another set could use.
 void for_each_trial(
     const MonteCarloConfig& config, int begin, int end,
     std::vector<TrialContext>& contexts,

@@ -2,7 +2,9 @@
 // is built from (the attacker tests cover them end to end; these pin the
 // contracts).
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,15 +17,22 @@
 namespace sos::attack {
 namespace {
 
+core::SosDesign small_design() {
+  return core::SosDesign::make(200, 30, 3, 10,
+                               core::MappingPolicy::one_to_five());
+}
+
 struct Fixture {
-  core::SosDesign design = core::SosDesign::make(
-      200, 30, 3, 10, core::MappingPolicy::one_to_five());
-  sosnet::SosOverlay overlay{design, 11};
-  AttackerKnowledge knowledge{200, 10};
+  core::SosDesign design;
+  sosnet::SosOverlay overlay;
+  AttackerKnowledge knowledge;
   AttackOutcome outcome;
   common::Rng rng{13};
 
-  Fixture() {
+  explicit Fixture(core::SosDesign d = small_design())
+      : design(std::move(d)),
+        overlay(design, 11),
+        knowledge(overlay.network().size(), overlay.filter_count()) {
     outcome.broken_per_layer.assign(3, 0);
     outcome.congested_per_layer.assign(3, 0);
   }
@@ -225,8 +234,9 @@ struct PhaseState {
 };
 
 PhaseState run_phase(const ExclusionCase& exclusion, int budget,
-                     bool force_full_scan) {
-  Fixture f;
+                     bool force_full_scan,
+                     const core::SosDesign& design = small_design()) {
+  Fixture f{design};
   f.rng = common::Rng{0x5eedULL + static_cast<std::uint64_t>(budget)};
   apply(exclusion, f);
   common::set_force_full_scan(force_full_scan);
@@ -243,8 +253,22 @@ PhaseState run_phase(const ExclusionCase& exclusion, int budget,
   return state;
 }
 
-// The rank-table spill-over against the forced O(N) reference, at the edges
-// of the exclusion set (first and last node, a contiguous run, half the
+void expect_same_phase(const PhaseState& fast, const PhaseState& reference) {
+  ASSERT_EQ(fast.health, reference.health);
+  ASSERT_EQ(fast.filters_congested, reference.filters_congested);
+  ASSERT_EQ(fast.outcome.congested_nodes, reference.outcome.congested_nodes);
+  ASSERT_EQ(fast.outcome.congested_filters,
+            reference.outcome.congested_filters);
+  ASSERT_EQ(fast.outcome.disclosed_at_congestion,
+            reference.outcome.disclosed_at_congestion);
+  ASSERT_EQ(fast.outcome.congested_per_layer,
+            reference.outcome.congested_per_layer);
+  ASSERT_EQ(fast.outcome.broken_per_layer, reference.outcome.broken_per_layer);
+  ASSERT_EQ(fast.next_draw, reference.next_draw);
+}
+
+// The complement-index spill-over against the forced O(N) reference, at the
+// edges of the exclusion set (first and last node, a contiguous run, half the
 // population, a dirty list one entry short of saturating and one already
 // saturated) and at every budget from zero to one past the congestable
 // population: scarce, exact, spill-over, whole-pool walk and surplus.
@@ -274,20 +298,68 @@ TEST(Congestion, PhaseMatchesFullScanReferenceAtExclusionEdges) {
 
     for (int budget = 0; budget <= congestable + 1; ++budget) {
       SCOPED_TRACE("budget " + std::to_string(budget));
-      const PhaseState fast = run_phase(exclusion, budget, false);
-      const PhaseState reference = run_phase(exclusion, budget, true);
-      ASSERT_EQ(fast.health, reference.health);
-      ASSERT_EQ(fast.filters_congested, reference.filters_congested);
-      ASSERT_EQ(fast.outcome.congested_nodes, reference.outcome.congested_nodes);
-      ASSERT_EQ(fast.outcome.congested_filters,
-                reference.outcome.congested_filters);
-      ASSERT_EQ(fast.outcome.disclosed_at_congestion,
-                reference.outcome.disclosed_at_congestion);
-      ASSERT_EQ(fast.outcome.congested_per_layer,
-                reference.outcome.congested_per_layer);
-      ASSERT_EQ(fast.outcome.broken_per_layer,
-                reference.outcome.broken_per_layer);
-      ASSERT_EQ(fast.next_draw, reference.next_draw);
+      ASSERT_NO_FATAL_FAILURE(expect_same_phase(
+          run_phase(exclusion, budget, false),
+          run_phase(exclusion, budget, true)));
+    }
+  }
+}
+
+// The same comparison where the exclusion list needs two radix passes and
+// the complement index has hundreds of buckets: 1,000+ excluded nodes among
+// 6,000 (scattered, and in runs at both edges of the id range), at budgets
+// in the scarce, spill-over and whole-pool regimes.
+TEST(Congestion, PhaseMatchesFullScanReferenceOnALargeOverlay) {
+  constexpr int kNodes = 6000;
+  const core::SosDesign design = core::SosDesign::make(
+      kNodes, 300, 3, 10, core::MappingPolicy::one_to_five());
+  common::Rng draw{0xb16ULL};
+  const auto scattered = [&](int count) {
+    std::vector<int> nodes;
+    for (int i = 0; i < count; ++i)
+      nodes.push_back(static_cast<int>(draw.next_below(kNodes)));
+    return nodes;
+  };
+  const auto joined = [](std::vector<int> a, const std::vector<int>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const std::vector<ExclusionCase> cases{
+      {"scattered", scattered(500), scattered(700), {1, 4}},
+      {"runs at both edges",
+       joined(node_range(0, 250), node_range(kNodes - 250, kNodes)),
+       joined(node_range(2000, 2600), scattered(100)),
+       {9}},
+  };
+  for (const auto& exclusion : cases) {
+    SCOPED_TRACE(exclusion.name);
+    // Every node the phase takes off kGood before its spill-over is broken
+    // or disclosed here, so this bound keeps the dirty list unsaturated and
+    // the fast path in play.
+    ASSERT_LE((exclusion.broken.size() + exclusion.disclosed.size()) * 4,
+              static_cast<std::size_t>(kNodes));
+    std::set<int> excluded(exclusion.broken.begin(), exclusion.broken.end());
+    excluded.insert(exclusion.disclosed.begin(), exclusion.disclosed.end());
+    ASSERT_GE(excluded.size(), 1000u);
+
+    Fixture probe{design};
+    apply(exclusion, probe);
+    int good = 0;
+    for (int node = 0; node < kNodes; ++node)
+      if (probe.overlay.network().is_good(node)) ++good;
+    int targets = probe.knowledge.disclosed_filter_count();
+    for (const int node : excluded)
+      if (probe.overlay.network().is_good(node)) ++targets;
+    const int congestable = good + probe.knowledge.disclosed_filter_count();
+    // Scarce; exact; spill-over through Floyd's sparse draws (1, 1,000) and
+    // the dense Fisher-Yates pool (2,000, all but one); whole pool; surplus.
+    for (const int budget :
+         {targets - 1, targets, targets + 1, targets + 1000, targets + 2000,
+          congestable - 1, congestable, congestable + 1}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      ASSERT_NO_FATAL_FAILURE(expect_same_phase(
+          run_phase(exclusion, budget, false, design),
+          run_phase(exclusion, budget, true, design)));
     }
   }
 }

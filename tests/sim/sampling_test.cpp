@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -196,6 +200,32 @@ TEST(SamplingLaw, ConditionedAttackHitsTheDictatedServletCounts) {
                std::invalid_argument);
 }
 
+TEST(SamplingLaw, ConditionedAttackMapsNonServletPicksExactly) {
+  // P_B = 1: every attempt on a non-servlet succeeds, so a pick mapped onto
+  // a servlet (or onto a node picked twice) shows up in the counts exactly,
+  // not by chance.
+  const auto design = small_design();
+  const core::OneBurstAttack attack{200, 0, 1.0};
+  const attack::OneBurstAttacker attacker{attack};
+  sosnet::SosOverlay overlay{design, 17};
+  common::Rng rng{43};
+  const int last = design.layers() - 1;
+  const int m = design.layer_sizes.back();
+  for (int victims = 0; victims <= m; ++victims) {
+    for (int successes = 0; successes <= victims; ++successes) {
+      overlay.reset_health();
+      const auto outcome =
+          attacker.execute_conditioned(overlay, rng, victims, successes);
+      ASSERT_EQ(outcome.broken_per_layer[static_cast<std::size_t>(last)],
+                successes)
+          << "victims=" << victims << " successes=" << successes;
+      ASSERT_EQ(outcome.broken_in,
+                successes + attack.break_in_budget - victims)
+          << "victims=" << victims << " successes=" << successes;
+    }
+  }
+}
+
 TEST(SamplingLaw, StratumBoundariesCoverTheSupport) {
   const auto pmf = servlet_compromise_pmf(1000, 20, 300, 0.5);
   const auto edges = stratum_boundaries(pmf, 6);
@@ -342,6 +372,52 @@ TEST(SamplingStratified, PostAttackHookRunsOncePerTrialOnEveryWorker) {
   ASSERT_EQ(pooled.strata.size(), hooked.strata.size());
   for (std::size_t h = 0; h < pooled.strata.size(); ++h)
     EXPECT_EQ(pooled.strata[h].trials, hooked.strata[h].trials);
+}
+
+TEST(SamplingStratified, RoundRunsStrataConcurrently) {
+  // A round runs every stratum's new trials in one pass, so a pilot of 2
+  // trials per stratum still puts 3 trials in flight on a 4-worker pool; a
+  // pass per stratum would hold at most 2. The hook waits (with a bound) for
+  // that third trial; after one wait times out it stops waiting, so a
+  // failing run stays short.
+  const auto design = small_design();
+  const core::OneBurstAttack attack{200, 150, 0.5};
+  MonteCarloConfig config;
+  config.walks_per_trial = 2;
+  config.seed = 0x3cULL;
+  config.threads = 4;
+  ThreadPool pool{4};
+  config.pool = &pool;
+  StoppingRule rule;
+  rule.initial_trials = 2;
+  rule.max_trials = 64;
+  StratifiedOptions options;
+  options.strata = 6;
+  options.pilot_per_stratum = 2;
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  int in_flight = 0;
+  int peak = 0;
+  bool stop_waiting = false;
+  const PostAttackFn hook = [&](sosnet::SosOverlay&, common::Rng&) {
+    std::unique_lock<std::mutex> lock(mutex);
+    peak = std::max(peak, ++in_flight);
+    changed.notify_all();
+    if (!stop_waiting && peak < 3 &&
+        !changed.wait_for(lock, std::chrono::seconds(5), [&] {
+          return peak >= 3 || stop_waiting;
+        })) {
+      stop_waiting = true;
+      changed.notify_all();
+    }
+    --in_flight;
+  };
+  const auto result =
+      run_stratified(design, attack, config, rule, options, hook);
+  ASSERT_GE(result.strata.size(), 2u);
+  EXPECT_GE(peak, 3);
+  EXPECT_FALSE(stop_waiting);
 }
 
 TEST(SamplingTripwires, ZeroVarianceStrataProduceANoteNotANaN) {
