@@ -16,11 +16,6 @@ struct AttackOutcome {
   /// Per 0-based SOS layer.
   std::vector<int> broken_per_layer;
   std::vector<int> congested_per_layer;
-
-  int bad_in_layer(int layer) const {
-    return broken_per_layer.at(static_cast<std::size_t>(layer)) +
-           congested_per_layer.at(static_cast<std::size_t>(layer));
-  }
 };
 
 }  // namespace sos::attack

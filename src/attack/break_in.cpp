@@ -2,47 +2,18 @@
 
 namespace sos::attack {
 
-namespace {
-
-/// Post-success bookkeeping shared by the drawn and dictated variants: flip
-/// the node, count it, and disclose its neighbor table (filter contacts for
-/// Layer-L victims, next-layer members otherwise).
-void apply_break_in_success(sosnet::SosOverlay& overlay, int node, int layer,
-                            AttackerKnowledge& knowledge,
-                            AttackOutcome& outcome) {
-  overlay.network().set_health(node, overlay::NodeHealth::kBrokenIn);
-  ++outcome.broken_in;
-  if (layer < 0) return;  // innocent bystander: nothing to disclose
-  ++outcome.broken_per_layer[static_cast<std::size_t>(layer)];
-
-  const bool last_layer = layer == overlay.design().layers() - 1;
-  for (const int neighbor : overlay.topology().neighbors(node)) {
-    if (last_layer) {
-      knowledge.disclose_filter(neighbor);
-    } else {
-      knowledge.disclose(neighbor);
-    }
-  }
-}
-
-}  // namespace
-
 bool attempt_break_in(sosnet::SosOverlay& overlay, int node, double p_break,
                       AttackerKnowledge& knowledge, common::Rng& rng,
                       AttackOutcome& outcome) {
   if (overlay.network().health(node) == overlay::NodeHealth::kBrokenIn)
     return false;
-  knowledge.mark_attempted(node);
-  ++outcome.break_in_attempts;
   const int layer = overlay.topology().layer_of(node);
   // Hardened SOS layers resist intrusion; bystanders are unhardened.
   const double p_effective =
       layer >= 0 ? p_break * overlay.design().hardening_factor(layer + 1)
                  : p_break;
-  if (!rng.bernoulli(p_effective)) return false;
-
-  apply_break_in_success(overlay, node, layer, knowledge, outcome);
-  return true;
+  return force_break_in(overlay, node, rng.bernoulli(p_effective), knowledge,
+                        outcome);
 }
 
 bool force_break_in(sosnet::SosOverlay& overlay, int node, bool succeed,
@@ -53,8 +24,22 @@ bool force_break_in(sosnet::SosOverlay& overlay, int node, bool succeed,
   ++outcome.break_in_attempts;
   if (!succeed) return false;
 
-  apply_break_in_success(overlay, node, overlay.topology().layer_of(node),
-                         knowledge, outcome);
+  // Flip the node, count it, and disclose its neighbor table (filter
+  // contacts for Layer-L victims, next-layer members otherwise).
+  overlay.network().set_health(node, overlay::NodeHealth::kBrokenIn);
+  ++outcome.broken_in;
+  const int layer = overlay.topology().layer_of(node);
+  if (layer < 0) return true;  // innocent bystander: nothing to disclose
+  ++outcome.broken_per_layer[static_cast<std::size_t>(layer)];
+
+  const bool last_layer = layer == overlay.design().layers() - 1;
+  for (const int neighbor : overlay.topology().neighbors(node)) {
+    if (last_layer) {
+      knowledge.disclose_filter(neighbor);
+    } else {
+      knowledge.disclose(neighbor);
+    }
+  }
   return true;
 }
 

@@ -7,17 +7,6 @@
 
 namespace sos::attack {
 
-namespace {
-
-void check_sizes(int node_count, int filter_count) {
-  if (node_count < 1)
-    throw std::invalid_argument("AttackerKnowledge: empty overlay");
-  if (filter_count < 0)
-    throw std::invalid_argument("AttackerKnowledge: negative filter count");
-}
-
-}  // namespace
-
 void AttackerKnowledge::check_node(int node) const {
   if (node < 0 || node >= node_count())
     throw std::out_of_range("AttackerKnowledge: node out of range");
@@ -28,15 +17,11 @@ void AttackerKnowledge::check_filter(int filter) const {
     throw std::out_of_range("AttackerKnowledge: filter out of range");
 }
 
-AttackerKnowledge::AttackerKnowledge(int node_count, int filter_count) {
-  check_sizes(node_count, filter_count);
-  attempted_bits_.assign(static_cast<std::size_t>(node_count));
-  disclosed_bits_.assign(static_cast<std::size_t>(node_count));
-  filter_bits_.assign(static_cast<std::size_t>(filter_count));
-}
-
 void AttackerKnowledge::reset(int node_count, int filter_count) {
-  check_sizes(node_count, filter_count);
+  if (node_count < 1)
+    throw std::invalid_argument("AttackerKnowledge: empty overlay");
+  if (filter_count < 0)
+    throw std::invalid_argument("AttackerKnowledge: negative filter count");
   const bool same_shape =
       attempted_bits_.size() == static_cast<std::size_t>(node_count) &&
       filter_bits_.size() == static_cast<std::size_t>(filter_count);

@@ -9,11 +9,12 @@
 //
 // The bit state is word-backed, and every first-time mark is also appended
 // to a compact list, so reset() clears O(marked) bits instead of O(N) and
-// pending()/disclosed_nodes() enumerate the marked lists instead of
+// pending()/disclosed_into() enumerate the marked lists instead of
 // scanning the population — the attacker only ever touches O(budget) nodes
 // of an N-million overlay.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -22,7 +23,9 @@ namespace sos::attack {
 
 class AttackerKnowledge {
  public:
-  AttackerKnowledge(int node_count, int filter_count);
+  AttackerKnowledge(int node_count, int filter_count) {
+    reset(node_count, filter_count);
+  }
 
   /// Forgets everything and resizes for a fresh overlay, reusing the
   /// existing buffers (allocation-free once they are large enough). Lets a
@@ -70,6 +73,14 @@ class AttackerKnowledge {
   int disclosed_count() const noexcept { return disclosed_count_; }
   int disclosed_filter_count() const noexcept {
     return disclosed_filter_count_;
+  }
+
+  /// Bytes held by the bitsets and mark lists (their capacity).
+  std::size_t footprint_bytes() const noexcept {
+    return attempted_bits_.capacity_bytes() + disclosed_bits_.capacity_bytes() +
+           filter_bits_.capacity_bytes() +
+           (attempted_list_.capacity() + disclosed_list_.capacity()) *
+               sizeof(int);
   }
 
  private:

@@ -1,11 +1,11 @@
 #include "attack/one_burst_attacker.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "attack/break_in.h"
 #include "attack/congestion.h"
-#include "attack/knowledge.h"
-#include "common/complement_index.h"
+#include "attack/scratch.h"
 
 namespace sos::attack {
 
@@ -19,21 +19,19 @@ AttackOutcome OneBurstAttacker::execute(sosnet::SosOverlay& overlay,
   outcome.congested_per_layer.assign(static_cast<std::size_t>(layers), 0);
   outcome.rounds_executed = 1;
 
-  thread_local AttackerKnowledge knowledge{1, 0};
+  AttackScratch& scratch = thread_scratch();
+  AttackerKnowledge& knowledge = scratch.knowledge;
   knowledge.reset(overlay.network().size(), overlay.filter_count());
 
   // Break-in phase: N_T distinct uniformly random overlay nodes, all
   // attempted before any disclosure is exploited.
-  thread_local std::vector<std::uint64_t> victims;
-  thread_local common::SampleScratch sample_scratch;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(overlay.network().size()),
-      static_cast<std::uint64_t>(config_.break_in_budget), victims,
-      sample_scratch);
-  for (const auto victim : victims) {
+      static_cast<std::uint64_t>(config_.break_in_budget), scratch.picks,
+      scratch.sample);
+  for (const auto victim : scratch.picks)
     attempt_break_in(overlay, static_cast<int>(victim),
                      config_.break_in_success, knowledge, rng, outcome);
-  }
 
   execute_congestion_phase(overlay, knowledge, config_.congestion_budget, rng,
                            outcome);
@@ -69,50 +67,49 @@ AttackOutcome OneBurstAttacker::execute_conditioned(sosnet::SosOverlay& overlay,
   outcome.congested_per_layer.assign(static_cast<std::size_t>(layers), 0);
   outcome.rounds_executed = 1;
 
-  thread_local AttackerKnowledge knowledge{1, 0};
+  AttackScratch& scratch = thread_scratch();
+  AttackerKnowledge& knowledge = scratch.knowledge;
   knowledge.reset(big_n, overlay.filter_count());
 
   // Dictated servlet outcomes: a uniform servlet_victims-subset of the m
   // servlets is attempted, a uniform servlet_successes-subset of those
-  // succeeds. The three draws below run one after another, so they share one
-  // scratch.
-  thread_local common::SampleScratch sample_scratch;
-  thread_local std::vector<std::uint64_t> servlet_slots;
+  // succeeds. The draws below run one after another, so they share one
+  // sampling scratch.
+  auto& servlet_slots = scratch.picks;
+  auto& success_slots = scratch.success_slots;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(m),
       static_cast<std::uint64_t>(servlet_victims), servlet_slots,
-      sample_scratch);
-  thread_local std::vector<std::uint64_t> success_slots;
+      scratch.sample);
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(servlet_victims),
       static_cast<std::uint64_t>(servlet_successes), success_slots,
-      sample_scratch);
-  thread_local std::vector<std::uint8_t> forced;
-  forced.assign(static_cast<std::size_t>(servlet_victims), 0);
-  for (const auto slot : success_slots)
-    forced[static_cast<std::size_t>(slot)] = 1;
+      scratch.sample);
+  // Attempts go out in draw order; sorted success slots mark which succeed.
+  std::sort(success_slots.begin(), success_slots.end());
+  auto next_success = success_slots.begin();
   for (int i = 0; i < servlet_victims; ++i) {
+    const bool succeed = next_success != success_slots.end() &&
+                         *next_success == static_cast<std::uint64_t>(i);
+    if (succeed) ++next_success;
     force_break_in(overlay,
                    servlets[static_cast<std::size_t>(servlet_slots[i])],
-                   forced[static_cast<std::size_t>(i)] != 0, knowledge,
-                   outcome);
+                   succeed, knowledge, outcome);
   }
 
   // The remaining budget falls on the non-servlet population, with ordinary
   // Bernoulli draws (per-layer hardening applied by attempt_break_in).
   // Victims are sampled as positions in [0, N - m) and mapped to node ids
   // through the complement of the servlet ids.
-  thread_local common::ComplementIndex non_servlets;
+  auto& non_servlets = scratch.complement;
   non_servlets.build(big_n, servlets);
-  thread_local std::vector<std::uint64_t> other_picks;
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(big_n - m),
       static_cast<std::uint64_t>(config_.break_in_budget - servlet_victims),
-      other_picks, sample_scratch);
-  for (const auto pick : other_picks) {
+      scratch.picks, scratch.sample);
+  for (const auto pick : scratch.picks)
     attempt_break_in(overlay, non_servlets.node_at(static_cast<int>(pick)),
                      config_.break_in_success, knowledge, rng, outcome);
-  }
 
   execute_congestion_phase(overlay, knowledge, config_.congestion_budget, rng,
                            outcome);

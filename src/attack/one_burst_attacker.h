@@ -16,8 +16,6 @@ class OneBurstAttacker {
   explicit OneBurstAttacker(core::OneBurstAttack config)
       : config_(config) {}
 
-  const core::OneBurstAttack& config() const noexcept { return config_; }
-
   /// Mutates overlay health; call overlay.reset_health() to reuse the
   /// topology.
   AttackOutcome execute(sosnet::SosOverlay& overlay, common::Rng& rng) const;

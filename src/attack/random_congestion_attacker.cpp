@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "attack/congestion.h"
+#include "attack/scratch.h"
 
 namespace sos::attack {
 
@@ -19,12 +20,12 @@ AttackOutcome RandomCongestionAttacker::execute(sosnet::SosOverlay& overlay,
   outcome.congested_per_layer.assign(static_cast<std::size_t>(layers), 0);
   outcome.rounds_executed = 0;
 
-  thread_local std::vector<std::uint64_t> victims;
-  thread_local common::SampleScratch sample_scratch;
+  AttackScratch& scratch = thread_scratch();
   rng.sample_without_replacement_into(
       static_cast<std::uint64_t>(overlay.network().size()),
-      static_cast<std::uint64_t>(congestion_budget_), victims, sample_scratch);
-  for (const auto victim : victims)
+      static_cast<std::uint64_t>(congestion_budget_), scratch.picks,
+      scratch.sample);
+  for (const auto victim : scratch.picks)
     congest_node(overlay, static_cast<int>(victim), outcome);
   return outcome;
 }

@@ -14,8 +14,6 @@ class RandomCongestionAttacker {
   explicit RandomCongestionAttacker(int congestion_budget)
       : congestion_budget_(congestion_budget) {}
 
-  int congestion_budget() const noexcept { return congestion_budget_; }
-
   AttackOutcome execute(sosnet::SosOverlay& overlay, common::Rng& rng) const;
 
  private:

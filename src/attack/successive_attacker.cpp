@@ -5,27 +5,22 @@
 
 #include "attack/break_in.h"
 #include "attack/congestion.h"
-#include "attack/knowledge.h"
-#include "common/bitvec.h"
+#include "attack/scratch.h"
 #include "common/scan_mode.h"
 
 namespace sos::attack {
 
 namespace {
 
-/// `count` distinct nodes that are neither attempted nor disclosed, chosen
-/// uniformly, written into `out`. Rejection sampling while the touched
-/// fraction is small, full enumeration otherwise. Scratch buffers persist
-/// per thread so the Monte Carlo trial loop stays allocation-free; the
-/// consumed random stream is identical to the buffer-per-call version.
-void sample_fresh_targets(const sosnet::SosOverlay& overlay,
-                          const AttackerKnowledge& knowledge, int count,
-                          common::Rng& rng, std::vector<int>& out) {
-  thread_local common::BitVec taken;
-  thread_local std::vector<int> pool;
-  thread_local std::vector<std::uint64_t> picks;
-  thread_local common::SampleScratch sample_scratch;
-
+/// `count` distinct nodes that are neither attempted nor disclosed in the
+/// scratch's knowledge, chosen uniformly, written into its `fresh`.
+/// Rejection sampling while the touched fraction is small, full enumeration
+/// otherwise.
+void sample_fresh_targets(const sosnet::SosOverlay& overlay, int count,
+                          common::Rng& rng, AttackScratch& scratch) {
+  const AttackerKnowledge& knowledge = scratch.knowledge;
+  auto& out = scratch.fresh;
+  auto& taken = scratch.taken;
   out.clear();
   if (count <= 0) return;
   const int big_n = overlay.network().size();
@@ -59,19 +54,8 @@ void sample_fresh_targets(const sosnet::SosOverlay& overlay,
     out.clear();  // pathological density; fall through to enumeration
   }
 
-  pool.clear();
-  pool.reserve(static_cast<std::size_t>(big_n));
-  for (int node = 0; node < big_n; ++node)
-    if (eligible(node)) pool.push_back(node);
-  if (static_cast<int>(pool.size()) <= count) {
-    out = pool;
-    return;
-  }
-  rng.sample_without_replacement_into(
-      pool.size(), static_cast<std::uint64_t>(count), picks, sample_scratch);
-  out.reserve(picks.size());
-  for (const auto pick : picks)
-    out.push_back(pool[static_cast<std::size_t>(pick)]);
+  scratch.draw_from_scan(big_n, count, rng, eligible,
+                         [&](int node) { out.push_back(node); });
 }
 
 }  // namespace
@@ -85,21 +69,19 @@ AttackOutcome SuccessiveAttacker::execute(sosnet::SosOverlay& overlay,
   outcome.broken_per_layer.assign(static_cast<std::size_t>(layers), 0);
   outcome.congested_per_layer.assign(static_cast<std::size_t>(layers), 0);
 
-  thread_local AttackerKnowledge knowledge{1, 0};
+  AttackScratch& scratch = thread_scratch();
+  AttackerKnowledge& knowledge = scratch.knowledge;
   knowledge.reset(overlay.network().size(), overlay.filter_count());
-  thread_local std::vector<std::uint64_t> picks;
-  thread_local common::SampleScratch sample_scratch;
-  thread_local std::vector<int> pending;
-  thread_local std::vector<int> fresh;
+  auto& pending = scratch.pending;
 
   // Prior knowledge ("round 0"): P_E of the first layer is already known.
   {
     const auto& first_layer = overlay.topology().members(0);
     const auto known = static_cast<std::uint64_t>(std::llround(
         config_.prior_knowledge * static_cast<double>(first_layer.size())));
-    rng.sample_without_replacement_into(first_layer.size(), known, picks,
-                                        sample_scratch);
-    for (const auto pick : picks)
+    rng.sample_without_replacement_into(first_layer.size(), known,
+                                        scratch.picks, scratch.sample);
+    for (const auto pick : scratch.picks)
       knowledge.disclose(first_layer[static_cast<std::size_t>(pick)]);
   }
 
@@ -156,9 +138,9 @@ AttackOutcome SuccessiveAttacker::execute(sosnet::SosOverlay& overlay,
 
     // Random targets are chosen against round-start knowledge, before the
     // round's own break-ins disclose anything new.
-    sample_fresh_targets(overlay, knowledge, random_budget, rng, fresh);
+    sample_fresh_targets(overlay, random_budget, rng, scratch);
     for (const int node : pending) break_in(node);
-    for (const int node : fresh) break_in(node);
+    for (const int node : scratch.fresh) break_in(node);
 
     if (options_.after_round) options_.after_round(overlay, rng, round);
     if (terminal) break;

@@ -46,8 +46,6 @@ class SuccessiveAttacker {
                               SuccessiveAttackerOptions options = {})
       : config_(config), options_(options) {}
 
-  const core::SuccessiveAttack& config() const noexcept { return config_; }
-
   AttackOutcome execute(sosnet::SosOverlay& overlay, common::Rng& rng) const;
 
  private:

@@ -45,6 +45,12 @@ class ComplementIndex {
   /// Number of ids that are not excluded.
   int size() const noexcept { return size_; }
 
+  /// Bytes held by the rank table, sort buffer and bucket index.
+  std::size_t footprint_bytes() const noexcept {
+    return (rank_.capacity() + scratch_.capacity()) * sizeof(int) +
+           start_.capacity() * sizeof(std::uint32_t);
+  }
+
   /// The position-th id (0-based, ascending) that is not excluded. Requires
   /// 0 <= position < size(). The entries of the position's bucket are
   /// counted by a branch-free descent, so even a bucket that holds a long

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -25,6 +26,15 @@ struct FactorialSnapshot {
 std::atomic<const FactorialSnapshot*> g_factorials{nullptr};
 std::mutex g_factorials_mutex;
 
+/// Owns every snapshot published so far, the current one included, so the
+/// retained ones stay reachable rather than leaked. Never destroyed: a reader
+/// still running at exit may hold any of them. Guarded by g_factorials_mutex.
+std::vector<std::unique_ptr<const FactorialSnapshot>>& factorial_owners() {
+  static auto* const owners =
+      new std::vector<std::unique_ptr<const FactorialSnapshot>>;
+  return *owners;
+}
+
 /// Past this many entries (8 MB) callers fall through to std::lgamma.
 constexpr int kFactorialTableCap = 1 << 20;
 
@@ -35,7 +45,7 @@ const FactorialSnapshot* grow_factorials(int need) {
   if (current != nullptr &&
       need < static_cast<int>(current->values.size()))
     return current;  // another thread grew past `need` first
-  auto* next = new FactorialSnapshot;
+  auto next = std::make_unique<FactorialSnapshot>();
   std::size_t size = current != nullptr ? current->values.size() : 256;
   while (size <= static_cast<std::size_t>(need)) size *= 2;
   size = std::min(size, static_cast<std::size_t>(kFactorialTableCap));
@@ -43,8 +53,10 @@ const FactorialSnapshot* grow_factorials(int need) {
   if (current != nullptr) next->values = current->values;
   for (std::size_t i = next->values.size(); i < size; ++i)
     next->values.push_back(std::lgamma(static_cast<double>(i) + 1.0));
-  g_factorials.store(next, std::memory_order_release);
-  return next;
+  const FactorialSnapshot* published = next.get();
+  factorial_owners().push_back(std::move(next));
+  g_factorials.store(published, std::memory_order_release);
+  return published;
 }
 
 }  // namespace

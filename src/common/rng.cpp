@@ -115,11 +115,12 @@ void Rng::sample_without_replacement_into(std::uint64_t population,
     return;
   }
   // Floyd's algorithm needs only membership-test + insert, so the backing
-  // structure never changes which values are drawn. Past ~4M nodes the
-  // direct-indexed stamp array below would cost 4 bytes per population
-  // element; switch to an epoch-stamped open-addressing set sized to k.
-  constexpr std::uint64_t kDirectStampLimit = std::uint64_t{1} << 22;
-  if (population > kDirectStampLimit) {
+  // structure never changes which values are drawn; it is chosen to keep the
+  // scratch O(k). A direct stamp array is cheapest while it stays within 64
+  // slots per draw (population <= 64·k, written so 64·k cannot overflow);
+  // beyond that an epoch-stamped open-addressing set sized to k takes over.
+  constexpr std::uint64_t kStampSlotsPerDraw = 64;
+  if ((population - 1) / kStampSlotsPerDraw >= k) {
     auto& keys = scratch.set_key;
     auto& stamps = scratch.set_stamp;
     std::size_t capacity = keys.size();  // power of two by construction
@@ -183,6 +184,13 @@ void Rng::sample_without_replacement_into(std::uint64_t population,
       dest.push_back(j);
     }
   }
+}
+
+std::size_t SampleScratch::footprint_bytes() const noexcept {
+  return pool.capacity() * sizeof(std::uint64_t) +
+         stamp.capacity() * sizeof(std::uint32_t) +
+         set_key.capacity() * sizeof(std::uint64_t) +
+         set_stamp.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace sos::common

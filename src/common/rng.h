@@ -19,18 +19,23 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
 /// Reusable scratch for Rng::sample_without_replacement_into. Holding one of
 /// these per thread (or per workspace) makes repeated sampling allocation-free
-/// in steady state: the pool and stamp arrays grow to the largest population
-/// seen and are then reused verbatim.
+/// in steady state: each buffer grows to the largest draw seen and is then
+/// reused verbatim. Each draw's structure is bounded by its count k, so a
+/// scratch holds O(max k) bytes whatever the population: the dense pool at
+/// most 24·k (population ≤ 3·k), the stamp array at most 256·k
+/// (population ≤ 64·k) and the hash set 48·k to 96·k (4·k to 8·k slots).
 struct SampleScratch {
   std::vector<std::uint64_t> pool;   // dense draws: partial Fisher-Yates pool
-  std::vector<std::uint32_t> stamp;  // sparse draws: epoch-stamped membership
-  std::uint32_t epoch = 0;
-  // Huge populations (> 2^22): the direct-indexed stamp array would cost
-  // 4 bytes per population element, so sparse draws switch to an
-  // epoch-stamped open-addressing set sized to the draw count instead.
+  std::vector<std::uint32_t> stamp;  // population ≤ 64·k: stamp[v] == epoch
+  std::uint32_t epoch = 0;           //   means "v drawn this call"
+  // Population > 64·k: an epoch-stamped open-addressing set sized to k, so
+  // a sparse draw from a huge population never costs 4 bytes per element.
   std::vector<std::uint64_t> set_key;
   std::vector<std::uint32_t> set_stamp;
   std::uint32_t set_epoch = 0;
+
+  /// Bytes held by the buffers (their capacity).
+  std::size_t footprint_bytes() const noexcept;
 };
 
 /// Stateless avalanche mix of a single value (for hashing ids into the ring).
@@ -74,15 +79,18 @@ class Rng {
   /// k distinct values drawn uniformly from [0, population). Dense draws
   /// (3k >= population) run a partial Fisher-Yates over an O(population)
   /// index pool. Sparser draws run Robert Floyd's algorithm in O(k) expected
-  /// time, tracking membership in an O(population) stamp array up to 2^22
-  /// elements and in an O(k) hash set beyond. Requires k <= population.
+  /// time, recording membership in a direct stamp array while
+  /// population <= 64·k and in an O(k) hash set above that, so no structure
+  /// costs more than O(k) memory. Floyd's draws never depend on the
+  /// structure, so the switch changes no drawn value. Requires k <= population.
   std::vector<std::uint64_t> sample_without_replacement(std::uint64_t population,
                                                         std::uint64_t k);
 
   /// In-place variant: overwrites `dest` with the k draws, reusing its
-  /// capacity and `scratch`'s buffers, so steady-state calls never touch the
-  /// heap. Consumes exactly the same stream (and produces exactly the same
-  /// draws) as sample_without_replacement for a given generator state.
+  /// capacity and `scratch`'s buffers (grown to O(k) bytes, as above), so
+  /// steady-state calls never touch the heap. Consumes exactly the same
+  /// stream (and produces exactly the same draws) as
+  /// sample_without_replacement for a given generator state.
   void sample_without_replacement_into(std::uint64_t population,
                                        std::uint64_t k,
                                        std::vector<std::uint64_t>& dest,

@@ -33,6 +33,13 @@ struct TopologyWorkspace {
   common::SampleScratch sample;       // sampling-without-replacement scratch
   std::vector<std::uint64_t> picks;   // draw destination buffer
   std::vector<int> contacts;          // client contact-list scratch
+
+  /// Bytes held by the buffers (their capacity).
+  std::size_t footprint_bytes() const noexcept {
+    return sample.footprint_bytes() +
+           picks.capacity() * sizeof(std::uint64_t) +
+           contacts.capacity() * sizeof(int);
+  }
 };
 
 class Topology {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace sos::common {
@@ -166,6 +168,53 @@ TEST(Rng, SampleIntoConsumesTheSameStreamAsTheAllocatingOverload) {
   }
   // Generators must agree afterwards.
   EXPECT_EQ(reference.next(), reused.next());
+}
+
+/// Robert Floyd's algorithm on a std::unordered_set: an implementation of
+/// the sparse draw that shares nothing with Rng's membership structures.
+std::vector<std::uint64_t> floyd_reference(Rng& rng, std::uint64_t population,
+                                           std::uint64_t k) {
+  std::vector<std::uint64_t> out;
+  std::unordered_set<std::uint64_t> drawn;
+  for (std::uint64_t j = population - k; j < population; ++j) {
+    const std::uint64_t t = rng.next_below(j + 1);
+    const std::uint64_t value = drawn.count(t) == 0 ? t : j;
+    drawn.insert(value);
+    out.push_back(value);
+  }
+  return out;
+}
+
+TEST(Rng, SparseDrawsMatchAnIndependentFloydOnEitherMembershipStructure) {
+  // Sparse shapes (3k < population) on both sides of the 64·k switch between
+  // the stamp array and the hash set, and of the 2^22 population limit that
+  // chose between them before; one scratch serves every shape.
+  constexpr std::uint64_t kOldLimit = std::uint64_t{1} << 22;
+  const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+      {64 * 50, 50},       {64 * 50 + 1, 50}, {1000, 100},
+      {10'000, 100},       {10'000, 3000},    {1'000'000, 2000},
+      {kOldLimit, 2000},   {kOldLimit + 1, 2000},
+      {kOldLimit, 70'000}, {kOldLimit + 1, 70'000}, {64 * 3, 3},
+  };
+  Rng reference{2024};
+  Rng tested{2024};
+  SampleScratch scratch;
+  std::vector<std::uint64_t> dest;
+  for (const auto& [population, k] : shapes) {
+    ASSERT_LT(k * 3, population);
+    const auto expected = floyd_reference(reference, population, k);
+    tested.sample_without_replacement_into(population, k, dest, scratch);
+    EXPECT_EQ(dest, expected) << "population=" << population << " k=" << k;
+  }
+  EXPECT_EQ(reference.next(), tested.next());
+
+  // A sparse draw from a large population costs O(k), not O(population):
+  // 2,000 of 1e6 never touches the stamp array, and the set holds fewer
+  // than 8·k slots of 12 bytes.
+  SampleScratch fresh;
+  tested.sample_without_replacement_into(1'000'000, 2000, dest, fresh);
+  EXPECT_TRUE(fresh.stamp.empty());
+  EXPECT_LE(fresh.footprint_bytes(), 2000u * 96u);
 }
 
 }  // namespace

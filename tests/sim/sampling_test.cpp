@@ -109,9 +109,10 @@ TEST(SamplingSequential, StoppedRunNeverReportsWiderIntervalThanTarget) {
       rule.max_trials = 1 << 14;
       const auto result = run_sequential(design, one_burst_fn(attack),
                                          config, rule);
-      if (result.stopped_by_rule)
+      if (result.stopped_by_rule) {
         EXPECT_LE(0.5 * result.wilson.width(), target)
             << "seed=" << seed << " target=" << target;
+      }
     }
   }
 }

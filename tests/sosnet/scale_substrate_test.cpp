@@ -1,15 +1,17 @@
 // Million-node substrate acceptance: the O(touched) dirty-list reset must be
 // an invisible optimization (bit-identical results with the O(N) reference
-// paths forced via common::set_force_full_scan), the per-node memory budget
-// must hold at scale, and a full Monte Carlo trial must run end-to-end at
-// N = 1e6 (`ctest -L scale-smoke`).
+// paths forced via common::set_force_full_scan), the per-node memory budgets
+// of the substrate and of a worker's scratch must hold at scale, and a full
+// Monte Carlo trial must run end-to-end at N = 1e6 (`ctest -L scale-smoke`).
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "attack/one_burst_attacker.h"
+#include "attack/scratch.h"
 #include "attack/successive_attacker.h"
 #include "common/rng.h"
 #include "common/scan_mode.h"
@@ -235,6 +237,37 @@ TEST(ScaleSubstrate, BytesPerNodeBudgetAtMillionNodes) {
       static_cast<double>(overlay.footprint_bytes()) / 1'000'000.0;
   EXPECT_LE(bytes_per_node, 8.0);
   EXPECT_GT(bytes_per_node, 0.0);
+}
+
+// Per-worker trial memory follows the attack, not N: after successive trials
+// at N = 1e6, a worker's topology workspace and attack scratch together hold
+// at most one byte per node (about 0.5 today, mostly the knowledge's and the
+// fresh-target filter's bits). A fresh thread starts with an empty attack
+// scratch; the test thread's may have grown in the full-scan reference runs.
+TEST(ScaleSubstrate, WorkerScratchStaysUnderOneBytePerNodeAtMillionNodes) {
+  constexpr int kNodes = 1'000'000;
+  const auto design = scale_design(kNodes);
+  const attack::SuccessiveAttacker attacker{paper_attack()};
+  std::size_t scratch_bytes = 0;
+  std::thread worker([&] {
+    sosnet::SosOverlay overlay{design, 0x5055};
+    sosnet::TopologyWorkspace workspace;
+    sosnet::WalkResult walk;
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::uint64_t trial_seed =
+          common::mix64(0x7261696c5ull + static_cast<std::uint64_t>(trial));
+      overlay.rebuild(trial_seed, workspace, /*reseed_ids=*/false);
+      common::Rng rng{common::mix64(trial_seed)};
+      attacker.execute(overlay, rng);
+      for (int w = 0; w < 5; ++w) overlay.route_message(rng, walk);
+    }
+    scratch_bytes = workspace.footprint_bytes() +
+                    attack::thread_scratch().footprint_bytes();
+  });
+  worker.join();
+  EXPECT_GT(scratch_bytes, 0u);
+  EXPECT_LE(static_cast<double>(scratch_bytes) / kNodes, 1.0)
+      << scratch_bytes << " bytes";
 }
 
 // End-to-end Monte Carlo at N = 1e6: cold build, attacked trials, walks,
