@@ -26,13 +26,13 @@ int scale_trials(const Params& params, int fallback) {
   return params.mc_trials > 0 ? params.mc_trials : fallback;
 }
 
-/// Seconds spent running `trials` steady-state trials (in-place rebuild +
+/// Trials per second over `trials` steady-state trials (in-place rebuild +
 /// successive attack + walks) on a warm overlay, mirroring the Monte Carlo
 /// engine's per-trial work.
-double time_steady_trials(sosnet::SosOverlay& overlay,
-                          const attack::SuccessiveAttacker& attacker,
-                          sosnet::TopologyWorkspace& workspace,
-                          std::uint64_t seed, int trials, int walks) {
+double steady_rate(sosnet::SosOverlay& overlay,
+                   const attack::SuccessiveAttacker& attacker,
+                   sosnet::TopologyWorkspace& workspace, std::uint64_t seed,
+                   int trials, int walks) {
   sosnet::WalkResult walk;
   const auto start = std::chrono::steady_clock::now();
   for (int trial = 0; trial < trials; ++trial) {
@@ -44,7 +44,8 @@ double time_steady_trials(sosnet::SosOverlay& overlay,
     for (int w = 0; w < walks; ++w) overlay.route_message(rng, walk);
   }
   const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
+  const double seconds = std::chrono::duration<double>(stop - start).count();
+  return seconds > 0.0 ? static_cast<double>(trials) / seconds : 0.0;
 }
 
 }  // namespace
@@ -89,38 +90,53 @@ Figure ext_scale_curve(const Params& params) {
         mc);
 
     // Steady-state throughput on one warm overlay (cold build + first trial
-    // excluded by the warm-up pass).
+    // excluded by the warm-up pass): the median of five identical passes,
+    // since one pass reads scheduler noise.
     sosnet::SosOverlay overlay{design, scaled.seed};
     sosnet::TopologyWorkspace workspace;
-    time_steady_trials(overlay, attacker, workspace, scaled.seed ^ 0x11, 2,
-                       scaled.mc_walks);
-    const double seconds = time_steady_trials(
-        overlay, attacker, workspace, scaled.seed, timing_trials,
-        scaled.mc_walks);
-    const double trials_per_s =
-        seconds > 0.0 ? static_cast<double>(timing_trials) / seconds : 0.0;
+    steady_rate(overlay, attacker, workspace, scaled.seed ^ 0x11, 2,
+                scaled.mc_walks);
+    std::vector<double> rates;
+    for (int pass = 0; pass < 5; ++pass)
+      rates.push_back(steady_rate(overlay, attacker, workspace, scaled.seed,
+                                  timing_trials, scaled.mc_walks));
+    const double trials_per_s = common::quantile(rates, 0.5);
     const double walks_per_s =
         trials_per_s * static_cast<double>(scaled.mc_walks);
     const double bytes_per_node =
         static_cast<double>(overlay.footprint_bytes()) /
         static_cast<double>(big_n);
 
-    // A/B against the forced O(N) reference reset at the acceptance point.
+    // A/B against the forced O(N) reference reset at the acceptance point:
+    // three back-to-back steady/forced pairs, alternating which side runs
+    // first so drift cancels, 4 forced trials each; the speedup is the
+    // median pair ratio.
     double speedup = 0.0;
     if (big_n == 1'000'000) {
-      common::set_force_full_scan(true);
-      const int full_trials = std::min(timing_trials, 12);
-      time_steady_trials(overlay, attacker, workspace, scaled.seed ^ 0x22, 1,
-                         scaled.mc_walks);
-      const double full_seconds = time_steady_trials(
-          overlay, attacker, workspace, scaled.seed, full_trials,
-          scaled.mc_walks);
-      common::set_force_full_scan(false);
-      const double full_rate =
-          full_seconds > 0.0
-              ? static_cast<double>(full_trials) / full_seconds
-              : 0.0;
-      speedup = full_rate > 0.0 ? trials_per_s / full_rate : 0.0;
+      const auto forced_rate = [&](std::uint64_t seed, int forced_trials) {
+        common::set_force_full_scan(true);
+        const double rate = steady_rate(overlay, attacker, workspace, seed,
+                                        forced_trials, scaled.mc_walks);
+        common::set_force_full_scan(false);
+        return rate;
+      };
+      forced_rate(scaled.seed ^ 0x22, 1);  // warm-up
+      std::vector<double> ratios;
+      for (int pair = 0; pair < 3; ++pair) {
+        double steady = 0.0;
+        double forced = 0.0;
+        if (pair % 2 == 0) {
+          steady = steady_rate(overlay, attacker, workspace, scaled.seed,
+                               timing_trials, scaled.mc_walks);
+          forced = forced_rate(scaled.seed, 4);
+        } else {
+          forced = forced_rate(scaled.seed, 4);
+          steady = steady_rate(overlay, attacker, workspace, scaled.seed,
+                               timing_trials, scaled.mc_walks);
+        }
+        ratios.push_back(forced > 0.0 ? steady / forced : 0.0);
+      }
+      speedup = common::quantile(ratios, 0.5);
       speedup_1e6 = speedup;
     }
 
@@ -149,9 +165,9 @@ Figure ext_scale_curve(const Params& params) {
   {
     bool within_budget = true;
     for (std::size_t i = 0; i < grid.size(); ++i)
-      if (grid[i] >= 1'000'000 && bytes_by_n[i] > 8.0) within_budget = false;
+      if (grid[i] >= 1'000'000 && bytes_by_n[i] > 2.5) within_budget = false;
     figure.checks.push_back(make_check(
-        "substrate state stays within 8 bytes/node at N >= 1e6",
+        "substrate state stays within 2.5 bytes/node at N >= 1e6",
         within_budget,
         "bytes/node at N=1e6: " + detail::fmt(bytes_by_n[2], 2) +
             ", at N=1e7: " + detail::fmt(bytes_by_n[3], 2)));
@@ -169,12 +185,14 @@ Figure ext_scale_curve(const Params& params) {
       "trials_per_s: steady-state in-place rebuild + attack + " );
   figure.notes.back() +=
       std::to_string(params.mc_walks) +
-      " walks on one warm overlay, cold build excluded; wall-clock columns "
-      "are machine-dependent and not compared byte-for-byte anywhere";
+      " walks on one warm overlay, cold build excluded, median of 5 passes; "
+      "speedup_vs_full_reset: median of 3 alternating steady/forced pairs; "
+      "wall-clock columns are machine-dependent and not compared "
+      "byte-for-byte anywhere";
   figure.notes.push_back(
       "bytes_per_node: SosOverlay::footprint_bytes()/N — health byte, layer "
-      "tag, slot offset, substrate+filter bitsets, dirty lists; ring ids "
-      "stay unmaterialized outside Chord mode");
+      "tag, substrate+filter bitsets, dirty lists, member-sized neighbor "
+      "tables; ring ids stay unmaterialized outside Chord mode");
   return figure;
 }
 

@@ -1,5 +1,7 @@
 #include "sosnet/topology.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/scan_mode.h"
@@ -43,14 +45,12 @@ void Topology::build(common::Rng& rng, TopologyWorkspace& workspace) {
   // Incremental clear: layer_of_ already reads -1 everywhere except the
   // previous build's members (replace_member keeps members_/layer_of_ in
   // sync), so resetting those members' tags restores the blank state in
-  // O(Σ nᵢ) instead of O(N). slot offsets need no clearing — they are only
-  // read through a node whose layer tag says "member".
+  // O(Σ nᵢ) instead of O(N).
   const bool full_clear = !built_ ||
                           layer_of_.size() != static_cast<std::size_t>(big_n) ||
                           common::force_full_scan();
   if (full_clear) {
     layer_of_.assign(static_cast<std::size_t>(big_n), -1);
-    slot_offset_.assign(static_cast<std::size_t>(big_n), 0);
   } else {
     for (const auto& layer_members : members_)
       for (const int node : layer_members)
@@ -59,13 +59,17 @@ void Topology::build(common::Rng& rng, TopologyWorkspace& workspace) {
   built_ = true;
   members_.resize(static_cast<std::size_t>(layers));
   degree_by_layer_.resize(static_cast<std::size_t>(layers));
+  layer_base_.resize(static_cast<std::size_t>(layers));
 
   // Total neighbor-table entries are fixed by the design, so the flat CSR
   // entries array is sized once and reused verbatim on rebuilds.
   std::size_t total_entries = 0;
   for (int layer = 0; layer < layers; ++layer) {
+    const auto l = static_cast<std::size_t>(layer);
+    degree_by_layer_[l] = design_.degree_into(layer + 2);
+    layer_base_[l] = total_entries;
     total_entries += static_cast<std::size_t>(design_.layer_size(layer + 1)) *
-                     static_cast<std::size_t>(design_.degree_into(layer + 2));
+                     static_cast<std::size_t>(degree_by_layer_[l]);
   }
   entries_.resize(total_entries);
 
@@ -87,29 +91,44 @@ void Topology::build(common::Rng& rng, TopologyWorkspace& workspace) {
       layer_members.push_back(node);
     }
   }
+  index_members();
 
   // Neighbor tables: m_{i+1} distinct random members of the next layer; the
-  // last layer points at filters instead.
-  std::uint32_t entry_cursor = 0;
+  // last layer points at filters instead. Tables are written in rank order,
+  // so each member's table lands at its derived slot.
+  std::size_t entry_cursor = 0;
   auto& picks = workspace.picks;
   for (int layer = 0; layer < layers; ++layer) {
     const bool last = layer == layers - 1;
     const int next_size = last ? design_.filter_count
                                : design_.layer_size(layer + 2);
-    const int degree = design_.degree_into(layer + 2);
-    degree_by_layer_[static_cast<std::size_t>(layer)] = degree;
+    const int degree = degree_by_layer_[static_cast<std::size_t>(layer)];
     const std::vector<int>* next_members =
         last ? nullptr : &members_[static_cast<std::size_t>(layer + 1)];
-    for (const int node : members_[static_cast<std::size_t>(layer)]) {
+    for (int rank = 0; rank < design_.layer_size(layer + 1); ++rank) {
       rng.sample_without_replacement_into(
           static_cast<std::uint64_t>(next_size),
           static_cast<std::uint64_t>(degree), picks, workspace.sample);
-      slot_offset_[static_cast<std::size_t>(node)] = entry_cursor;
       for (const auto pick : picks) {
         entries_[entry_cursor++] =
             last ? static_cast<int>(pick)
                  : (*next_members)[static_cast<std::size_t>(pick)];
       }
+    }
+  }
+}
+
+void Topology::index_members() {
+  const auto capacity = std::bit_ceil(
+      2 * static_cast<std::size_t>(design_.sos_node_count()));
+  rank_table_.assign(capacity, RankSlot{});
+  rank_shift_ = 32 - std::countr_zero(capacity);
+  const std::size_t mask = capacity - 1;
+  for (const auto& layer_members : members_) {
+    for (std::size_t rank = 0; rank < layer_members.size(); ++rank) {
+      std::size_t slot = home_slot(layer_members[rank]);
+      while (rank_table_[slot].node >= 0) slot = (slot + 1) & mask;
+      rank_table_[slot] = {layer_members[rank], static_cast<std::int32_t>(rank)};
     }
   }
 }
@@ -125,52 +144,38 @@ void Topology::replace_member(int old_node, int new_node, common::Rng& rng) {
     throw std::invalid_argument(
         "Topology::replace_member: replacement already serves");
 
-  // Swap the membership records.
+  // Swap the membership records: the recruit takes the retired node's rank,
+  // and with it the retired node's entry slot (same degree policy).
+  const auto l = static_cast<std::size_t>(layer);
+  const std::size_t rank = rank_of(old_node);
   layer_of_[static_cast<std::size_t>(old_node)] = -1;
   layer_of_[static_cast<std::size_t>(new_node)] =
       static_cast<std::int8_t>(layer);
-  for (int& member : members_[static_cast<std::size_t>(layer)]) {
-    if (member == old_node) {
-      member = new_node;
-      break;
-    }
-  }
+  members_[l][rank] = new_node;
+  index_members();
 
-  // The recruit inherits the retired node's entry slot (same degree policy)
-  // with a *fresh* next-layer table; the old node's table is revoked (its
-  // stale offset is unreachable once its layer tag reads -1).
-  const int layers = design_.layers();
-  const bool last = layer == layers - 1;
+  // The recruit gets a *fresh* next-layer table; the old node's is revoked
+  // with its tag.
+  const bool last = layer == design_.layers() - 1;
   const int next_size =
       last ? design_.filter_count : design_.layer_size(layer + 2);
-  const int degree = design_.degree_into(layer + 2);
-  const std::uint32_t offset = slot_offset_[static_cast<std::size_t>(old_node)];
-  const std::vector<int>& next_members =
-      last ? members_[static_cast<std::size_t>(layer)]  // unused when last
-           : members_[static_cast<std::size_t>(layer + 1)];
+  const auto degree = static_cast<std::size_t>(degree_by_layer_[l]);
   const auto picks = rng.sample_without_replacement(
       static_cast<std::uint64_t>(next_size),
       static_cast<std::uint64_t>(degree));
+  int* const table = entries_.data() + layer_base_[l] + rank * degree;
   for (std::size_t i = 0; i < picks.size(); ++i) {
-    entries_[offset + i] =
-        last ? static_cast<int>(picks[i])
-             : next_members[static_cast<std::size_t>(picks[i])];
+    table[i] = last ? static_cast<int>(picks[i])
+                    : members_[l + 1][static_cast<std::size_t>(picks[i])];
   }
-  slot_offset_[static_cast<std::size_t>(new_node)] = offset;
 
-  // Re-issue upstream routing state: previous-layer tables that pointed at
-  // the retired node now point at its replacement.
+  // Re-issue upstream routing state: previous-layer tables (one contiguous
+  // entry range) that pointed at the retired node now point at its
+  // replacement.
   if (layer > 0) {
-    const std::int32_t up_degree =
-        degree_by_layer_[static_cast<std::size_t>(layer - 1)];
-    for (const int upstream : members_[static_cast<std::size_t>(layer - 1)]) {
-      const std::uint32_t up =
-          slot_offset_[static_cast<std::size_t>(upstream)];
-      for (std::int32_t i = 0; i < up_degree; ++i) {
-        int& entry = entries_[up + static_cast<std::uint32_t>(i)];
-        if (entry == old_node) entry = new_node;
-      }
-    }
+    std::replace(entries_.begin() + static_cast<std::ptrdiff_t>(layer_base_[l - 1]),
+                 entries_.begin() + static_cast<std::ptrdiff_t>(layer_base_[l]),
+                 old_node, new_node);
   }
 }
 
@@ -200,9 +205,10 @@ std::size_t Topology::footprint_bytes() const noexcept {
   for (const auto& layer_members : members_)
     members_bytes += layer_members.capacity() * sizeof(int);
   return layer_of_.capacity() * sizeof(std::int8_t) +
-         slot_offset_.capacity() * sizeof(std::uint32_t) +
          degree_by_layer_.capacity() * sizeof(std::int32_t) +
-         entries_.capacity() * sizeof(int) + members_bytes;
+         layer_base_.capacity() * sizeof(std::size_t) +
+         entries_.capacity() * sizeof(int) +
+         rank_table_.capacity() * sizeof(RankSlot) + members_bytes;
 }
 
 }  // namespace sos::sosnet

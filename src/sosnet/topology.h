@@ -8,13 +8,17 @@
 // trial), which is exactly the distribution the paper's average-case
 // analysis assumes.
 //
-// Storage is a compact SoA layout sized for N in the millions: an int8
-// per-node layer tag, a uint32 per-node entry offset (the neighbor count is
-// implied by the layer, so no per-node count is stored), and one contiguous
-// entries array. Rebuilding for a new trial reuses every buffer and clears
-// only the previous members' layer tags, so steady-state rebuild cost is
-// O(Σ nᵢ·mᵢ) — independent of N (with an O(N) reference path kept for
-// first builds and common::force_full_scan()).
+// Storage is sized by the n SOS members, not by the N overlay nodes, except
+// for one int8 per-node layer tag (the hot layer_of() read). Members are laid
+// out layer-major in draw order in one contiguous entries array: the member
+// of layer l at rank r (its index in members(l)) owns the m_{l+2} entries
+// starting at layer_base[l] + r·m_{l+2} (the neighbor count is implied by the
+// layer, so none is stored). A private open-addressing node → rank table,
+// sized to a power of two >= 2n, finds a member's rank; bystanders own no
+// table and no slot. Rebuilding for a new trial reuses every buffer, clears
+// only the previous members' layer tags and resets the rank table, so
+// steady-state rebuild cost is O(Σ nᵢ·mᵢ) — independent of N (with an O(N)
+// reference path kept for first builds and common::force_full_scan()).
 #pragma once
 
 #include <cassert>
@@ -79,9 +83,9 @@ class Topology {
   std::span<const int> neighbors(int node) const noexcept {
     const int layer = layer_of(node);
     if (layer < 0) return {};
-    return {entries_.data() + slot_offset_[static_cast<std::size_t>(node)],
-            static_cast<std::size_t>(
-                degree_by_layer_[static_cast<std::size_t>(layer)])};
+    const auto l = static_cast<std::size_t>(layer);
+    const auto degree = static_cast<std::size_t>(degree_by_layer_[l]);
+    return {entries_.data() + layer_base_[l] + rank_of(node) * degree, degree};
   }
 
   /// Nodes of layer 0 a fresh client would contact (m_1 distinct members).
@@ -93,26 +97,50 @@ class Topology {
                                    TopologyWorkspace& workspace) const;
 
   /// Role migration (defensive reconfiguration, Section 5 territory): hands
-  /// `old_node`'s SOS role to `new_node` (must be a non-member). The new
-  /// node inherits a *fresh* random neighbor table into the next layer, and
-  /// every previous-layer table entry pointing at old_node is rewritten to
-  /// new_node (the overlay re-issues routing state, as SOS's secret-servlet
-  /// reassignment does). old_node becomes an ordinary bystander whose
-  /// identity is worthless to an attacker.
+  /// `old_node`'s SOS role, rank and entry slot to `new_node` (must be a
+  /// non-member). The new node gets a *fresh* random neighbor table into the
+  /// next layer, and every previous-layer table entry pointing at old_node
+  /// is rewritten to new_node (the overlay re-issues routing state, as SOS's
+  /// secret-servlet reassignment does). old_node becomes an ordinary
+  /// bystander whose identity is worthless to an attacker.
   void replace_member(int old_node, int new_node, common::Rng& rng);
 
-  /// Bytes owned by per-node and per-entry topology state.
+  /// Bytes owned by per-node, per-member and per-entry topology state.
   std::size_t footprint_bytes() const noexcept;
 
  private:
+  struct RankSlot {
+    std::int32_t node = -1;  // -1: empty
+    std::int32_t rank = 0;
+  };
+
   void build(common::Rng& rng, TopologyWorkspace& workspace);
+  /// Resets the rank table and keys every member by its index in members_.
+  void index_members();
+
+  std::size_t home_slot(int node) const noexcept {
+    return (static_cast<std::uint32_t>(node) * 0x9e3779b1u) >> rank_shift_;
+  }
+  /// Rank of a member within its layer. Hot path: every member is keyed,
+  /// so the probe always ends on it (debug assert only).
+  std::size_t rank_of(int node) const noexcept {
+    const std::size_t mask = rank_table_.size() - 1;
+    std::size_t slot = home_slot(node);
+    while (rank_table_[slot].node != node) {
+      assert(rank_table_[slot].node >= 0);
+      slot = (slot + 1) & mask;
+    }
+    return static_cast<std::size_t>(rank_table_[slot].rank);
+  }
 
   core::SosDesign design_;
   std::vector<std::int8_t> layer_of_;      // size N, -1 for bystanders
-  std::vector<std::vector<int>> members_;  // L layers
-  std::vector<std::uint32_t> slot_offset_; // size N; valid only for members
+  std::vector<std::vector<int>> members_;  // L layers, in rank order
   std::vector<std::int32_t> degree_by_layer_;  // implied neighbor counts
+  std::vector<std::size_t> layer_base_;    // first entry of each layer
   std::vector<int> entries_;               // flat CSR neighbor storage
+  std::vector<RankSlot> rank_table_;       // member -> rank, linear probing
+  int rank_shift_ = 31;                    // 32 - log2(rank_table_.size())
   bool built_ = false;  // false until layer tags cover the whole population
 };
 

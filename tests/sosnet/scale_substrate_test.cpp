@@ -228,14 +228,14 @@ TEST(ScaleSubstrate, DirtyResetRestoresPristineState) {
 }
 
 // The compact-SoA memory budget pinned by the scaling study: at N >= 1e6
-// the whole substrate (health byte, layer tag, slot offset, bitsets, dirty
-// lists, membership) stays within 8 bytes per node.
+// the whole substrate (health byte, layer tag, bitsets, dirty lists, and the
+// member-sized neighbor tables) stays within 2.5 bytes per node.
 TEST(ScaleSubstrate, BytesPerNodeBudgetAtMillionNodes) {
   const auto design = scale_design(1'000'000);
   sosnet::SosOverlay overlay{design, 0x5055};
   const double bytes_per_node =
       static_cast<double>(overlay.footprint_bytes()) / 1'000'000.0;
-  EXPECT_LE(bytes_per_node, 8.0);
+  EXPECT_LE(bytes_per_node, 2.5);
   EXPECT_GT(bytes_per_node, 0.0);
 }
 
