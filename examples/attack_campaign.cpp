@@ -12,7 +12,7 @@
 #include "attack/successive_attacker.h"
 #include "common/cli.h"
 #include "core/successive_model.h"
-#include "sim/repair.h"
+#include "sim/defense.h"
 
 using namespace sos;  // NOLINT: example brevity
 
@@ -104,23 +104,11 @@ int main(int argc, char** argv) try {
     std::printf("\n== defender repairs (rate %.2f per sweep) ==\n",
                 repair_rate);
     for (int sweep = 1; sweep <= 3; ++sweep) {
-      sosnet::SosOverlay& net = overlay;
-      auto& network = net.network();
-      int repaired = 0;
-      for (int node = 0; node < network.size(); ++node) {
-        if (network.health(node) == overlay::NodeHealth::kGood) continue;
-        if (rng.bernoulli(repair_rate)) {
-          network.set_health(node, overlay::NodeHealth::kGood);
-          ++repaired;
-        }
-      }
-      for (int filter = 0; filter < net.filter_count(); ++filter)
-        if (net.filter_congested(filter) && rng.bernoulli(repair_rate)) {
-          net.set_filter_congested(filter, false);
-          ++repaired;
-        }
+      sim::DefenseTally tally;
+      sim::defend(overlay, {.repair_rate = repair_rate}, rng, tally);
       std::printf("sweep %d: repaired %d, availability now %.4f\n", sweep,
-                  repaired, measure_availability(overlay, rng));
+                  tally.repaired_nodes + tally.repaired_filters,
+                  measure_availability(overlay, rng));
     }
   }
   return 0;

@@ -34,8 +34,8 @@ struct SuccessiveAttackerOptions {
       before_round;
 
   /// Invoked after each completed break-in round (before the congestion
-  /// phase); used by the repair/migration extensions to let the defender
-  /// act between rounds.
+  /// phase); the defense extensions run `sim::defend` here to let the
+  /// defender act between rounds.
   std::function<void(sosnet::SosOverlay&, common::Rng&, int round)>
       after_round;
 };

@@ -23,7 +23,9 @@ namespace sos::campaign {
 /// v3: the container carries an fnv1a64 payload checksum (store integrity).
 /// v4: importance sampling removed — ext_sampling figure objects and
 ///     auto-sweep rows lose its columns.
-inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v4";
+/// v5: role-migration recruits are drawn by rejection — ext_migration and
+///     ext_timeline's rotation rows draw different streams.
+inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v5";
 
 /// FNV-1a 64-bit over the bytes of `data`.
 std::uint64_t fnv1a64(std::string_view data) noexcept;

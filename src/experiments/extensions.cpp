@@ -12,9 +12,8 @@
 #include "core/exact_models.h"
 #include "experiments/detail.h"
 #include "experiments/figures.h"
-#include "sim/migration.h"
 #include "sosnet/protocol.h"
-#include "sim/repair.h"
+#include "sim/defense.h"
 #include "sim/timeline.h"
 
 namespace sos::experiments {
@@ -341,17 +340,17 @@ Figure ext_repair_dynamics(const Params& params) {
   common::Series series{"P_S with repair", {}, {}};
   std::map<double, double> values;
   for (const double rate : {0.0, 0.1, 0.2, 0.4, 0.6, 0.8}) {
-    sim::RepairConfig repair;
-    repair.repair_rate = rate;
+    const sim::DefenseConfig repair{.repair_rate = rate};
     // Trials run on the pool's threads: an integer sum is exact in any
     // arrival order, so the mean is deterministic at a fixed seed.
     std::atomic<long long> repaired{0};
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
-          auto outcome = sim::run_successive_attack_with_repair(
+          auto outcome = sim::run_successive_attack_with_defense(
               overlay, attack, repair, rng);
-          repaired += outcome.repaired_nodes + outcome.repaired_filters;
+          repaired +=
+              outcome.tally.repaired_nodes + outcome.tally.repaired_filters;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
@@ -601,7 +600,7 @@ Figure ext_migration_defense(const Params& params) {
                                   {}};
   double p_none = 0.0, p_best_proactive = 0.0, p_reactive_only = 0.0;
 
-  const auto measure = [&](const sim::MigrationConfig& config) {
+  const auto measure = [&](const sim::DefenseConfig& config) {
     // Trials run on the pool's threads: an integer sum is exact in any
     // arrival order, so the mean is deterministic at a fixed seed. The SOS
     // break-in mean is the engine's own, reduced in trial order.
@@ -609,9 +608,9 @@ Figure ext_migration_defense(const Params& params) {
     const auto mc = sim::run_monte_carlo(
         design,
         [&](sosnet::SosOverlay& overlay, common::Rng& rng) {
-          auto outcome = sim::run_successive_attack_with_migration(
+          auto outcome = sim::run_successive_attack_with_defense(
               overlay, attack, config, rng);
-          migrated += outcome.migrated;
+          migrated += outcome.tally.migrated;
           return outcome.attack;
         },
         detail::mc_config(mc_params));
@@ -625,14 +624,14 @@ Figure ext_migration_defense(const Params& params) {
   };
 
   for (const double rate : {0.0, 0.25, 0.5, 1.0}) {
-    const double p = measure(sim::MigrationConfig{rate, 0.0});
+    const double p = measure({.migration_rate = rate});
     reactive_series.xs.push_back(rate);
     reactive_series.ys.push_back(p);
     if (rate == 0.0) p_none = p;
     if (rate == 1.0) p_reactive_only = p;
   }
   for (const double rate : {0.0, 0.25, 0.5, 0.75}) {
-    const double p = measure(sim::MigrationConfig{1.0, rate});
+    const double p = measure({.migration_rate = 1.0, .proactive_rate = rate});
     proactive_series.xs.push_back(rate);
     proactive_series.ys.push_back(p);
     p_best_proactive = std::max(p_best_proactive, p);
@@ -879,10 +878,10 @@ Figure ext_attack_timeline(const Params& params) {
   std::vector<Defense> defenses(3);
   defenses[0].label = "no defense";
   defenses[1].label = "repair 0.5/round";
-  defenses[1].config.repair.repair_rate = 0.5;
+  defenses[1].config.defense.repair_rate = 0.5;
   defenses[2].label = "rotation 0.5/round";
-  defenses[2].config.migration.migration_rate = 1.0;
-  defenses[2].config.migration.proactive_rate = 0.5;
+  defenses[2].config.defense.migration_rate = 1.0;
+  defenses[2].config.defense.proactive_rate = 0.5;
 
   const int seeds = std::max(8, effective_trials(params, 24) / 3);
   std::map<std::string, double> final_availability;

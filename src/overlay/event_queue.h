@@ -1,5 +1,5 @@
-// Discrete-event scheduler used by the dynamic extensions (repair during an
-// on-going successive attack, staged attack rounds).
+// Discrete-event scheduler used by the dynamic extensions (benign faults
+// interleaved with the attack timeline's rounds, defense and probes).
 //
 // Events fire in (time, insertion-order) order so simultaneous events are
 // deterministic. The queue owns the callbacks; run_until drains everything

@@ -1,7 +1,6 @@
 #include "sim/timeline.h"
 
 #include <optional>
-#include <vector>
 
 #include "attack/successive_attacker.h"
 #include "faults/fault_injector.h"
@@ -73,6 +72,7 @@ TimelineResult run_attack_timeline(sosnet::SosOverlay& overlay,
     }
   };
 
+  DefenseTally defended;  // unreported: the samples show the defense's effect
   attack::SuccessiveAttackerOptions options;
   options.before_round = [&](sosnet::SosOverlay&, common::Rng& stream,
                              int round) {
@@ -85,34 +85,7 @@ TimelineResult run_attack_timeline(sosnet::SosOverlay& overlay,
                             int round) {
     // Substrate events up to this round fire before the defense reacts.
     fault_queue.run_until(round * config.round_interval);
-    if (config.repair.repair_rate > 0.0) {
-      // Reuse the repair module's semantics via a one-round sweep: each
-      // compromised node repaired independently.
-      auto& network = net.network();
-      for (int node = 0; node < network.size(); ++node) {
-        const auto health = network.health(node);
-        const bool repairable =
-            (health == overlay::NodeHealth::kBrokenIn &&
-             config.repair.repair_broken) ||
-            (health == overlay::NodeHealth::kCongested &&
-             config.repair.repair_congested);
-        if (repairable && stream.bernoulli(config.repair.repair_rate))
-          network.set_health(node, overlay::NodeHealth::kGood);
-      }
-    }
-    const double reactive = config.migration.migration_rate;
-    const double proactive = config.migration.proactive_rate;
-    if (reactive > 0.0 || proactive > 0.0) {
-      for (int layer = 0; layer < net.design().layers(); ++layer) {
-        const std::vector<int> members = net.topology().members(layer);
-        for (const int member : members) {
-          const double rate =
-              net.network().is_good(member) ? proactive : reactive;
-          if (rate > 0.0 && stream.bernoulli(rate))
-            net.migrate_member(member, stream);
-        }
-      }
-    }
+    defend(net, config.defense, stream, defended);
     result.congestion_time = round * config.round_interval;
   };
 

@@ -3,10 +3,11 @@
 //
 // The successive attack unfolds on a discrete-event timeline: break-in
 // round j fires at t = j * round_interval, the congestion flood fires one
-// interval after the last round, and an optional defense (repair sweep
-// and/or role rotation) runs after every round. Client probes measure the
-// instantaneous delivery rate throughout, producing the availability curve
-// an operator would see on a dashboard while the campaign is in progress.
+// interval after the last round, and an optional defense (`sim::defend`:
+// repair sweep and/or role rotation) runs after every round. Client probes
+// measure the instantaneous delivery rate throughout, producing the
+// availability curve an operator would see on a dashboard while the
+// campaign is in progress.
 #pragma once
 
 #include <vector>
@@ -14,8 +15,7 @@
 #include "common/rng.h"
 #include "core/attack_config.h"
 #include "faults/fault_config.h"
-#include "sim/migration.h"
-#include "sim/repair.h"
+#include "sim/defense.h"
 #include "sosnet/sos_overlay.h"
 
 namespace sos::sim {
@@ -25,8 +25,7 @@ struct TimelineConfig {
   double probe_interval = 0.25;  // client probe cadence
   int probes_per_sample = 200;   // walks averaged per sample point
   double cooldown = 3.0;         // observed time after the congestion flood
-  RepairConfig repair;           // applied after every round (optional)
-  MigrationConfig migration;     // applied after every round (optional)
+  DefenseConfig defense;         // `defend` after every round (optional)
   /// Benign substrate churn composed with the attack: a FaultPlan drawn
   /// from faults.seed is armed on the run's event queue, so crashes,
   /// recoveries and filter flaps interleave with rounds and probes in

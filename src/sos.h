@@ -16,7 +16,7 @@
 //   sosnet  - a concrete SOS overlay + routing/protocol simulation
 //   faults  - benign-fault plans/injection (crashes, loss, filter flaps)
 //   attack  - attacker implementations
-//   sim     - Monte Carlo, repair/migration/timeline dynamics
+//   sim     - Monte Carlo, defenses (repair/migration), timeline dynamics
 //   campaign - declarative scenario specs, cached + resumable execution
 #pragma once
 
@@ -63,9 +63,8 @@
 #include "attack/random_congestion_attacker.h"
 #include "attack/successive_attacker.h"
 
-#include "sim/migration.h"
+#include "sim/defense.h"
 #include "sim/monte_carlo.h"
-#include "sim/repair.h"
 #include "sim/timeline.h"
 
 #include "campaign/campaign.h"

@@ -9,6 +9,9 @@ namespace {
 
 common::Rng topology_rng(std::uint64_t seed) { return common::Rng{seed}; }
 
+/// Uniform draws migrate_member spends before its exact scan.
+constexpr int kRecruitTries = 64;
+
 }  // namespace
 
 SosOverlay::SosOverlay(const core::SosDesign& design, std::uint64_t seed)
@@ -36,16 +39,26 @@ void SosOverlay::rebuild(std::uint64_t seed, TopologyWorkspace& workspace,
 }
 
 int SosOverlay::migrate_member(int member, common::Rng& rng) {
-  // Reservoir-sample a good bystander without materializing the candidate
-  // list (N is large, candidates plentiful).
+  const auto candidate = [this](int node) {
+    return !topology_.is_sos_member(node) && node_usable(node);
+  };
+  // Rejection: an accepted uniform node is uniform over the candidates. The
+  // exact reservoir scan settles the rare run of misses (and "none left").
   int recruit = -1;
-  int seen = 0;
-  for (int node = 0; node < network_.size(); ++node) {
-    if (topology_.is_sos_member(node) || !node_usable(node)) continue;
-    ++seen;
-    if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) recruit = node;
+  for (int attempt = 0; attempt < kRecruitTries && recruit < 0; ++attempt) {
+    const int node = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(network_.size())));
+    if (candidate(node)) recruit = node;
   }
-  if (recruit < 0) return -1;
+  if (recruit < 0) {
+    int seen = 0;
+    for (int node = 0; node < network_.size(); ++node) {
+      if (!candidate(node)) continue;
+      ++seen;
+      if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) recruit = node;
+    }
+    if (recruit < 0) return -1;
+  }
   topology_.replace_member(member, recruit, rng);
   return recruit;
 }

@@ -55,9 +55,12 @@ class SosOverlay {
   Topology& mutable_topology() noexcept { return topology_; }
 
   /// Defensive role migration: retires `member` (keeps its health as an
-  /// ordinary bystander) and recruits a uniformly chosen *good* non-member
-  /// in its place. Returns the recruit, or -1 when no good bystander is
-  /// left.
+  /// ordinary bystander) and recruits a uniformly chosen *usable* (attack-good
+  /// and not crashed) non-member in its place. The recruit is drawn by
+  /// rejection — a uniform node, retried while it is a member or unusable,
+  /// up to 64 tries — and then, only if every try missed, by an exact
+  /// reservoir scan over all nodes; both are uniform over the same
+  /// candidates. Returns the recruit, or -1 when no usable bystander is left.
   int migrate_member(int member, common::Rng& rng);
   overlay::Network& network() noexcept { return network_; }
   const overlay::Network& network() const noexcept { return network_; }
