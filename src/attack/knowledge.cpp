@@ -76,12 +76,6 @@ bool AttackerKnowledge::disclose_filter(int filter) {
   return true;
 }
 
-std::vector<int> AttackerKnowledge::pending() const {
-  std::vector<int> out;
-  pending_into(out);
-  return out;
-}
-
 void AttackerKnowledge::pending_into(std::vector<int>& dest) const {
   dest.clear();
   dest.reserve(static_cast<std::size_t>(pending_count_));

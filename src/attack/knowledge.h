@@ -9,7 +9,7 @@
 //
 // The bit state is word-backed, and every first-time mark is also appended
 // to a compact list, so reset() clears O(marked) bits instead of O(N) and
-// pending()/disclosed_into() enumerate the marked lists instead of
+// pending_into()/disclosed_into() enumerate the marked lists instead of
 // scanning the population — the attacker only ever touches O(budget) nodes
 // of an N-million overlay.
 #pragma once
@@ -60,9 +60,7 @@ class AttackerKnowledge {
   bool disclose_filter(int filter);
 
   /// Disclosed nodes that have never been attempted (Algorithm 1's X_j),
-  /// in ascending node order.
-  std::vector<int> pending() const;
-  /// In-place variant: overwrites `dest`, reusing its capacity.
+  /// in ascending node order. Overwrites `dest`, reusing its capacity.
   void pending_into(std::vector<int>& dest) const;
   int pending_count() const noexcept { return pending_count_; }
 

@@ -28,8 +28,7 @@ constexpr const char* kKnownKeys =
     "campaign, mode, figures, n, sos, filters, p_break, mc_trials, mc_walks, "
     "seed, attacker, layers, mappings, distribution, break_in, congestion, "
     "rounds, prior_knowledge, fault_node_mtbf, fault_node_mttr, "
-    "fault_filter_flap_mtbf, fault_filter_flap_mttr, fault_lossy_fraction, "
-    "fault_seed";
+    "fault_filter_flap_mtbf, fault_filter_flap_mttr, fault_lossy_fraction";
 
 constexpr const char* kAutoTrialsAccepted =
     "'default', a non-negative trial count, or "
@@ -156,8 +155,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       spec.faults.filter_flap_mttr = kGrammar.parse_double(key, value);
     } else if (key == "fault_lossy_fraction") {
       spec.faults.lossy_fraction = kGrammar.parse_double(key, value);
-    } else if (key == "fault_seed") {
-      spec.faults.seed = kGrammar.parse_seed(key, value);
     } else {
       reject("key", key, kKnownKeys);
     }
@@ -315,7 +312,6 @@ std::string ScenarioSpec::canonical() const {
           "\n";
       out += "fault_lossy_fraction = " + fmt_double(faults.lossy_fraction) +
              "\n";
-      out += "fault_seed = " + std::to_string(faults.seed) + "\n";
     }
   }
   return out;
@@ -355,7 +351,6 @@ std::string ScenarioSpec::result_scope() const {
              "\n";
       out += "fault_lossy_fraction=" + fmt_double(faults.lossy_fraction) +
              "\n";
-      out += "fault_seed=" + std::to_string(faults.seed) + "\n";
     }
   }
   return out;

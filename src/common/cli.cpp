@@ -29,11 +29,6 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
-bool Args::has(const std::string& key) const {
-  touched_[key] = true;
-  return values_.count(key) > 0;
-}
-
 std::optional<std::string> Args::raw(const std::string& key) const {
   touched_[key] = true;
   const auto it = values_.find(key);
@@ -76,24 +71,6 @@ bool Args::get_bool(const std::string& key, bool fallback) const {
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
   throw std::invalid_argument("--" + key + " expects a boolean, got '" + *v +
                               "'");
-}
-
-std::vector<std::int64_t> Args::get_int_list(
-    const std::string& key, const std::vector<std::int64_t>& fallback) const {
-  const auto v = raw(key);
-  if (!v) return fallback;
-  std::vector<std::int64_t> out;
-  for (const auto& part : split(*v, ',')) {
-    const std::string item = trim(part);
-    if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + key + " expects integers, got '" +
-                                  item + "'");
-    }
-  }
-  return out;
 }
 
 std::vector<std::string> Args::unused_keys() const {

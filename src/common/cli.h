@@ -17,7 +17,6 @@ class Args {
  public:
   Args(int argc, const char* const* argv);
 
-  bool has(const std::string& key) const;
   std::optional<std::string> raw(const std::string& key) const;
 
   std::string get_string(const std::string& key,
@@ -25,10 +24,6 @@ class Args {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Comma-separated integer list, e.g. --layers=1,2,4,8.
-  std::vector<std::int64_t> get_int_list(
-      const std::string& key, const std::vector<std::int64_t>& fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

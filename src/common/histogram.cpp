@@ -27,25 +27,6 @@ double Histogram::bin_lower(int index) const {
   return lo_ + (hi_ - lo_) * static_cast<double>(index) / bin_count();
 }
 
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (int index = 0; index < bin_count(); ++index) {
-    const auto in_bin =
-        static_cast<double>(counts_[static_cast<std::size_t>(index)]);
-    if (cumulative + in_bin >= target) {
-      const double frac =
-          in_bin > 0.0 ? (target - cumulative) / in_bin : 0.0;
-      return bin_lower(index) +
-             frac * (bin_upper(index) - bin_lower(index));
-    }
-    cumulative += in_bin;
-  }
-  return hi_;
-}
-
 std::string Histogram::render(int max_bar_width) const {
   std::uint64_t peak = 1;
   for (const auto c : counts_) peak = std::max(peak, c);

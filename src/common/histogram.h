@@ -23,9 +23,6 @@ class Histogram {
   double bin_lower(int index) const;
   double bin_upper(int index) const { return bin_lower(index + 1); }
 
-  /// Value below which `q` of the mass lies (linear within the bin).
-  double quantile(double q) const;
-
   /// Compact one-bar-per-bin ASCII rendering ("[lo, hi) ####### 42").
   std::string render(int max_bar_width = 40) const;
 

@@ -202,10 +202,4 @@ std::vector<int> apportion(int total, const std::vector<double>& weights,
   return out;
 }
 
-bool nearly_equal(double a, double b, double abs_tol, double rel_tol) {
-  const double diff = std::fabs(a - b);
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return diff <= abs_tol + rel_tol * scale;
-}
-
 }  // namespace sos::common

@@ -80,8 +80,4 @@ double clamp_to(double v, double lo, double hi);
 std::vector<int> apportion(int total, const std::vector<double>& weights,
                            bool at_least_one);
 
-/// True when |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
-bool nearly_equal(double a, double b, double abs_tol = 1e-9,
-                  double rel_tol = 1e-9);
-
 }  // namespace sos::common

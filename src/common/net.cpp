@@ -83,12 +83,6 @@ void Socket::close() noexcept {
   }
 }
 
-int Socket::release() noexcept {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 Listener Listener::bind_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("Listener: socket() failed");

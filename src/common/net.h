@@ -59,9 +59,6 @@ class Socket {
   /// Closes the fd (idempotent). A closed socket is invalid.
   void close() noexcept;
 
-  /// Releases ownership of the fd without closing it.
-  int release() noexcept;
-
  private:
   int fd_ = -1;
 };

@@ -63,9 +63,6 @@ class Rng {
   /// multiply-shift rejection method (unbiased).
   std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double next_double() noexcept;
 

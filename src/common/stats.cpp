@@ -20,23 +20,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
 double RunningStats::variance() const noexcept {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

@@ -10,7 +10,6 @@ namespace sos::common {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::uint64_t count() const noexcept { return count_; }
   double mean() const noexcept { return mean_; }

@@ -47,12 +47,6 @@ std::string pad_left(std::string text, std::size_t width) {
   return std::string(width - text.size(), ' ') + text;
 }
 
-std::string pad_right(std::string text, std::size_t width) {
-  if (text.size() >= width) return text;
-  text.append(width - text.size(), ' ');
-  return text;
-}
-
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

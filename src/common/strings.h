@@ -15,9 +15,8 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// == "0.123". Negative zero is normalized to "0...".
 std::string format_double(double value, int precision);
 
-/// Left/right padding to a given width (no truncation).
+/// Left padding to a given width (no truncation).
 std::string pad_left(std::string text, std::size_t width);
-std::string pad_right(std::string text, std::size_t width);
 
 /// join({"a","b"}, ", ") == "a, b"
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

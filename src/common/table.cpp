@@ -17,13 +17,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double v : cells) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
-}
-
 std::string Table::to_ascii() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c)

@@ -17,9 +17,6 @@ class Table {
   /// Appends a row; pads/truncates nothing — must match header count.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_numeric_row(const std::vector<double>& cells, int precision = 4);
-
   std::size_t row_count() const noexcept { return rows_.size(); }
   std::size_t column_count() const noexcept { return headers_.size(); }
 

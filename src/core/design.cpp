@@ -36,13 +36,6 @@ int SosDesign::degree_into(int i) const {
   return mapping.degree_for(size);
 }
 
-std::vector<int> SosDesign::degrees() const {
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(layers()) + 1);
-  for (int i = 1; i <= layers() + 1; ++i) out.push_back(degree_into(i));
-  return out;
-}
-
 double SosDesign::hardening_factor(int i) const {
   if (i < 1 || i > layers())
     throw std::out_of_range("SosDesign::hardening_factor: layer index " +

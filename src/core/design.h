@@ -53,9 +53,6 @@ struct SosDesign {
   /// number of filters each Layer-L node knows.
   int degree_into(int i) const;
 
-  /// All degrees m_1..m_{L+1} in one call (index 0 -> m_1).
-  std::vector<int> degrees() const;
-
   /// Break-in success multiplier of layer `i` (1-based, i in [1, L]); 1.0
   /// when unhardened.
   double hardening_factor(int i) const;

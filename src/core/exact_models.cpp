@@ -119,14 +119,6 @@ double OriginalSosModel::p_success(const SosDesign& design,
   return out[0];
 }
 
-std::vector<double> OriginalSosModel::p_success_curve(
-    const SosDesign& design, const std::vector<int>& budgets) {
-  Workspace workspace;
-  std::vector<double> out;
-  p_success_curve(design, budgets, out, workspace);
-  return out;
-}
-
 void OriginalSosModel::p_success_curve(const SosDesign& design,
                                        const std::vector<int>& budgets,
                                        std::vector<double>& out,

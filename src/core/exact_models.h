@@ -80,11 +80,8 @@ class OriginalSosModel {
   static double p_success(const SosDesign& design, int congestion_budget);
 
   /// Batch form: per-mask subset sizes computed once, every budget mixed
-  /// against them. out[b] corresponds to budgets[b].
-  static std::vector<double> p_success_curve(const SosDesign& design,
-                                             const std::vector<int>& budgets);
-
-  /// Allocation-aware batch form; `out` is resized to budgets.size().
+  /// against them. out[b] corresponds to budgets[b]; `out` is resized to
+  /// budgets.size().
   static void p_success_curve(const SosDesign& design,
                               const std::vector<int>& budgets,
                               std::vector<double>& out, Workspace& workspace);

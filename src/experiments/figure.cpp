@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/files.h"
-
 namespace sos::experiments {
 
 std::string render_figure(const Figure& figure) {
@@ -39,10 +37,6 @@ std::string render_figure(const Figure& figure) {
   for (const auto& note : figure.notes) out += "note: " + note + "\n";
   if (!figure.notes.empty()) out += "\n";
   return out;
-}
-
-void write_figure_csv(const Figure& figure, const std::string& path) {
-  common::write_file_atomic(path, figure.table.to_csv());
 }
 
 std::string extract_figure_csv(const std::string& render_text) {

@@ -35,15 +35,9 @@ struct Figure {
 /// fences for machine extraction), ASCII chart, checks, notes.
 std::string render_figure(const Figure& figure);
 
-/// Crash-safe CSV emission: writes figure.table.to_csv() via
-/// common::write_file_atomic, so an interrupted run never leaves a
-/// truncated CSV behind. Throws std::runtime_error on I/O failure.
-void write_figure_csv(const Figure& figure, const std::string& path);
-
 /// Recovers the CSV block from a render_figure() text (the bytes between
-/// the "# CSV begin/end" fences) — exactly what write_figure_csv would have
-/// emitted for that figure. Throws std::invalid_argument if the fences are
-/// missing.
+/// the "# CSV begin/end" fences) — exactly figure.table.to_csv() for that
+/// figure. Throws std::invalid_argument if the fences are missing.
 std::string extract_figure_csv(const std::string& render_text);
 
 /// Convenience for building checks from comparisons.

@@ -6,7 +6,7 @@
 // crash and reboot, filter rules flap during pushes, links drop packets —
 // and the paper's availability guarantees silently assume none of that
 // happens. This module parameterizes that benign substrate so the rest of
-// the system (FaultPlan schedules, the protocol's link faults, the
+// the system (steady-state fault draws, the protocol's link faults, the
 // degraded-substrate analytic model) can quantify availability under attack
 // *plus* ordinary unreliability.
 //
@@ -15,16 +15,14 @@
 // draws, no state changes) — fault-free runs stay bit-identical.
 #pragma once
 
-#include <cstdint>
-
 namespace sos::faults {
 
 struct FaultConfig {
-  /// Mean time between benign crashes per node (exponential draws).
-  /// 0 disables node churn entirely.
+  /// Mean time between benign crashes per node. 0 disables node churn
+  /// entirely.
   double node_mtbf = 0.0;
-  /// Mean time to recover a crashed node (exponential draws). Must be > 0
-  /// whenever node_mtbf > 0.
+  /// Mean time to recover a crashed node. Must be > 0 whenever
+  /// node_mtbf > 0.
   double node_mttr = 1.0;
 
   /// Mean time between benign filter flaps (rule-push glitches) per filter;
@@ -34,13 +32,9 @@ struct FaultConfig {
   double filter_flap_mttr = 0.5;
 
   /// Fraction of overlay nodes that are persistently lossy (bad NICs,
-  /// saturated uplinks). Drawn once per plan; lossy nodes stay up but their
-  /// message legs suffer elevated loss in the protocol simulation.
+  /// saturated uplinks). Lossy nodes stay up but their message legs suffer
+  /// elevated loss in the protocol simulation.
   double lossy_fraction = 0.0;
-
-  /// Dedicated stream for schedule generation, independent of every attack
-  /// and Monte Carlo stream so enabling faults never perturbs attack draws.
-  std::uint64_t seed = 0xfa0175ull;
 
   bool node_churn_enabled() const noexcept { return node_mtbf > 0.0; }
   bool filter_flaps_enabled() const noexcept { return filter_flap_mtbf > 0.0; }

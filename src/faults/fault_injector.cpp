@@ -1,69 +1,6 @@
 #include "faults/fault_injector.h"
 
-#include <algorithm>
-
 namespace sos::faults {
-
-FaultInjector::FaultInjector(sosnet::SosOverlay& overlay, const FaultPlan& plan)
-    : overlay_(overlay), plan_(plan) {
-  // A sorted copy of the (small) lossy set instead of an N-sized mask, so
-  // constructing an injector per trial costs O(lossy), not O(N).
-  if (!plan.lossy_nodes.empty()) {
-    lossy_sorted_ = plan.lossy_nodes;
-    std::sort(lossy_sorted_.begin(), lossy_sorted_.end());
-  }
-}
-
-void FaultInjector::prime() {
-  auto& substrate = overlay_.substrate();
-  for (const int node : plan_.lossy_nodes)
-    substrate.set_node(node, sosnet::SubstrateState::kLossy);
-}
-
-void FaultInjector::apply(const FaultEvent& event) {
-  auto& substrate = overlay_.substrate();
-  switch (event.kind) {
-    case FaultEventKind::kNodeCrash:
-      substrate.set_node(event.index, sosnet::SubstrateState::kCrashed);
-      break;
-    case FaultEventKind::kNodeRecover: {
-      const bool lossy = std::binary_search(lossy_sorted_.begin(),
-                                            lossy_sorted_.end(), event.index);
-      substrate.set_node(event.index, lossy ? sosnet::SubstrateState::kLossy
-                                            : sosnet::SubstrateState::kUp);
-      break;
-    }
-    case FaultEventKind::kFilterDown:
-      substrate.set_filter_flapped(event.index, true);
-      break;
-    case FaultEventKind::kFilterUp:
-      substrate.set_filter_flapped(event.index, false);
-      break;
-  }
-  ++applied_;
-}
-
-void FaultInjector::advance_to(double time) {
-  while (next_ < plan_.events.size() && plan_.events[next_].time <= time) {
-    apply(plan_.events[next_]);
-    ++next_;
-  }
-}
-
-void FaultInjector::apply_pending(std::size_t index) {
-  // An armed callback fires exactly once per event, but a manual
-  // advance_to may already have consumed it; the cursor arbitrates.
-  if (index != next_) return;
-  apply(plan_.events[index]);
-  ++next_;
-}
-
-void FaultInjector::arm(overlay::EventQueue& queue) {
-  for (std::size_t index = next_; index < plan_.events.size(); ++index) {
-    const double when = std::max(plan_.events[index].time, queue.now());
-    queue.schedule(when, [this, index] { apply_pending(index); });
-  }
-}
 
 void apply_steady_state_faults(const FaultConfig& config,
                                sosnet::SosOverlay& overlay, common::Rng& rng) {

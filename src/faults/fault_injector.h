@@ -1,66 +1,13 @@
-// Applies a FaultPlan to a live SosOverlay.
-//
-// The injector is a cursor over the plan's (sorted) events. Consumers drive
-// it in one of two equivalent ways:
-//   - advance_to(t): apply every not-yet-applied event with time <= t — the
-//     simple pull style for ad-hoc loops;
-//   - arm(queue): schedule each remaining event as a callback on an
-//     overlay::EventQueue, so fault events interleave deterministically with
-//     whatever else the queue is sequencing (repair sweeps, attack rounds);
-//     queue.run_until(t) then plays substrate and defense events in global
-//     time order.
-// Either way each event is applied exactly once.
-//
-// Recovery semantics: a recovering node returns to kLossy if the plan marks
-// it persistently lossy, else kUp — and its *attack* state (broken-in,
-// congested) is untouched, because crashing does not clean a compromise.
+// Applies benign substrate faults to a live SosOverlay. Attack state
+// (broken-in, congested) is never touched: crashing does not clean a
+// compromise.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "faults/fault_plan.h"
-#include "overlay/event_queue.h"
+#include "common/rng.h"
+#include "faults/fault_config.h"
 #include "sosnet/sos_overlay.h"
 
 namespace sos::faults {
-
-class FaultInjector {
- public:
-  /// Keeps references to both; `plan` and `overlay` must outlive the
-  /// injector. Does not mutate the overlay until prime()/advance_to()/an
-  /// armed queue runs.
-  FaultInjector(sosnet::SosOverlay& overlay, const FaultPlan& plan);
-
-  /// Marks the plan's persistently lossy nodes in the overlay substrate.
-  /// Call once at t = 0 before driving events.
-  void prime();
-
-  /// Applies every pending event with time <= `time`, in plan order.
-  void advance_to(double time);
-
-  /// Schedules every pending event onto `queue` (at its plan time, clamped
-  /// to the queue's current now()). The injector must outlive the queue's
-  /// run. Events applied through the queue advance the same cursor, so
-  /// mixing arm() with advance_to() never double-applies.
-  void arm(overlay::EventQueue& queue);
-
-  /// Events applied so far (via either path).
-  int applied() const noexcept { return applied_; }
-  bool exhausted() const noexcept { return next_ >= plan_.events.size(); }
-
- private:
-  void apply(const FaultEvent& event);
-  /// Applies the cursor event if `event` is still pending; used by armed
-  /// queue callbacks so a manual advance_to past the event is harmless.
-  void apply_pending(std::size_t index);
-
-  sosnet::SosOverlay& overlay_;
-  const FaultPlan& plan_;
-  std::vector<int> lossy_sorted_;  // persistently lossy nodes, ascending
-  std::size_t next_ = 0;
-  int applied_ = 0;
-};
 
 /// One-shot steady-state draw (no timeline): independently crashes each
 /// node with probability 1 - steady_state_node_up(), flaps each filter with

@@ -48,11 +48,4 @@ double CostModel::deployment_cost(const core::SosDesign& design) const {
          link_cost * static_cast<double>(link_count(design));
 }
 
-std::string CostModel::summary() const {
-  std::ostringstream text;
-  text << "node=" << node_cost << " filter=" << filter_cost
-       << " layer=" << layer_cost << " link=" << link_cost;
-  return text.str();
-}
-
 }  // namespace sos::optimize

@@ -41,9 +41,6 @@ struct CostModel {
   /// node_cost*n + filter_cost*f + layer_cost*L + link_cost*link_count.
   /// `design` must be valid.
   double deployment_cost(const core::SosDesign& design) const;
-
-  /// "node=1 filter=10 layer=25 link=0.05"
-  std::string summary() const;
 };
 
 }  // namespace sos::optimize

@@ -6,7 +6,7 @@
 // in the order listed — so every consumer (exhaustive search, SA restarts,
 // figure tables) sees the same point indices and keys regardless of thread
 // count. Degenerate duplicates (every distribution collapses to the same
-// design at L = 1) are skipped, matching core::robust_design_search.
+// design at L = 1) are skipped.
 #pragma once
 
 #include <cstddef>

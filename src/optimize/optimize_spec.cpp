@@ -12,7 +12,6 @@ namespace {
 
 constexpr common::SpecGrammar kGrammar{"OptimizeSpec"};
 using common::fmt_double;
-using common::join_ints;
 using common::parse_name_list;
 using common::valid_name;
 
@@ -165,44 +164,6 @@ void OptimizeSpec::validate() const {
            "an integer >= 0 (0 disables the Monte Carlo check)");
   if (mc_walks < 1)
     reject("mc_walks", std::to_string(mc_walks), "an integer >= 1");
-}
-
-std::string OptimizeSpec::canonical() const {
-  std::string out;
-  out += "optimize = " + name + "\n";
-  out += "n = " + std::to_string(space.total_overlay_nodes) + "\n";
-  out += "filters = " + std::to_string(space.filter_count) + "\n";
-  out += "layers = " + join_ints(space.layers) + "\n";
-  out += "sos = " + join_ints(space.sos_nodes) + "\n";
-  out += "mappings = " + common::join(space.mappings, ", ") + "\n";
-  out += "distributions = " + common::join(space.distributions, ", ") + "\n";
-  out += "cost_node = " + fmt_double(cost.node_cost) + "\n";
-  out += "cost_filter = " + fmt_double(cost.filter_cost) + "\n";
-  out += "cost_layer = " + fmt_double(cost.layer_cost) + "\n";
-  out += "cost_link = " + fmt_double(cost.link_cost) + "\n";
-  out += std::string("attacker = ") + attacker_model_label(objective.model) +
-         "\n";
-  out += "budget_total = " + fmt_double(objective.budget.total) + "\n";
-  out += "budget_break_in_cost = " +
-         fmt_double(objective.budget.break_in_cost) + "\n";
-  out += "budget_congestion_cost = " +
-         fmt_double(objective.budget.congestion_cost) + "\n";
-  out += "rounds = " + std::to_string(objective.budget.rounds) + "\n";
-  out += "prior_knowledge = " + fmt_double(objective.budget.prior_knowledge) +
-         "\n";
-  out += "p_break = " + fmt_double(objective.budget.break_in_success) + "\n";
-  out += "split_steps = " + std::to_string(objective.split_steps) + "\n";
-  out += std::string("searcher = ") + searcher_label(searcher) + "\n";
-  out += "auto_exhaustive_max = " + std::to_string(auto_exhaustive_max) + "\n";
-  out += "sa_restarts = " + std::to_string(anneal.restarts) + "\n";
-  out += "sa_iterations = " + std::to_string(anneal.iterations) + "\n";
-  out += "sa_t_initial = " + fmt_double(anneal.t_initial) + "\n";
-  out += "sa_t_final = " + fmt_double(anneal.t_final) + "\n";
-  out += "sa_seed = " + std::to_string(anneal.seed) + "\n";
-  out += "validate_trials = " + std::to_string(validate_trials) + "\n";
-  out += "mc_walks = " + std::to_string(mc_walks) + "\n";
-  out += "seed = " + std::to_string(seed) + "\n";
-  return out;
 }
 
 }  // namespace sos::optimize

@@ -48,10 +48,6 @@ struct OptimizeSpec {
   /// Field-level validation ("(accepted:)" style); parse() runs it before
   /// returning.
   void validate() const;
-
-  /// Normalized, parseable rendering: fixed key order, %.17g doubles.
-  /// parse(canonical()) reproduces the spec exactly.
-  std::string canonical() const;
 };
 
 }  // namespace sos::optimize

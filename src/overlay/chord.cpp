@@ -101,8 +101,4 @@ ChordRing::LookupResult ChordRing::lookup(
   return result;
 }
 
-ChordRing::LookupResult ChordRing::lookup(int from, NodeId key) const {
-  return lookup(from, key, [](int) { return true; });
-}
-
 }  // namespace sos::overlay

@@ -55,9 +55,6 @@ class ChordRing {
                       const std::function<bool(int)>& alive,
                       int max_hops = 0) const;
 
-  /// Lookup assuming every node is alive (hop-count studies).
-  LookupResult lookup(int from, NodeId key) const;
-
  private:
   std::vector<NodeId> ids_;          // sorted ascending
   std::vector<int> fingers_;         // size * 64, flattened

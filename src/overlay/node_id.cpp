@@ -1,7 +1,6 @@
 #include "overlay/node_id.h"
 
 #include <cassert>
-#include <cstdio>
 
 #include "common/rng.h"
 
@@ -15,12 +14,6 @@ std::uint64_t ring_distance(NodeId from, NodeId to) {
   return to.value - from.value;  // unsigned wrap-around is the ring metric
 }
 
-bool in_interval_open_closed(NodeId a, NodeId b, NodeId x) {
-  if (a == b) return true;  // whole ring
-  return ring_distance(a, x) != 0 &&
-         ring_distance(a, x) <= ring_distance(a, b);
-}
-
 bool in_interval_open_open(NodeId a, NodeId b, NodeId x) {
   if (a == b) return false;
   return ring_distance(a, x) != 0 &&
@@ -30,13 +23,6 @@ bool in_interval_open_open(NodeId a, NodeId b, NodeId x) {
 NodeId finger_start(NodeId id, int k) {
   assert(k >= 0 && k < 64);
   return NodeId{id.value + (std::uint64_t{1} << k)};
-}
-
-std::string to_string(NodeId id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id.value));
-  return std::string{buf};
 }
 
 }  // namespace sos::overlay

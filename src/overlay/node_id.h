@@ -26,18 +26,11 @@ NodeId node_id_from_index(std::uint64_t index, std::uint64_t seed);
 /// Clockwise distance from `from` to `to` on the 2^64 ring (0 when equal).
 std::uint64_t ring_distance(NodeId from, NodeId to);
 
-/// True when x lies in the half-open clockwise interval (a, b]. When a == b
-/// the interval spans the whole ring (Chord convention).
-bool in_interval_open_closed(NodeId a, NodeId b, NodeId x);
-
 /// True when x lies in the open clockwise interval (a, b). Empty when
 /// a == b.
 bool in_interval_open_open(NodeId a, NodeId b, NodeId x);
 
 /// id + 2^k on the ring (finger-table start points), k in [0, 64).
 NodeId finger_start(NodeId id, int k);
-
-/// Hex rendering for logs and debugging.
-std::string to_string(NodeId id);
 
 }  // namespace sos::overlay

@@ -1,11 +1,6 @@
 #include "sim/timeline.h"
 
-#include <optional>
-
 #include "attack/successive_attacker.h"
-#include "faults/fault_injector.h"
-#include "faults/fault_plan.h"
-#include "overlay/event_queue.h"
 
 namespace sos::sim {
 
@@ -25,7 +20,6 @@ TimelinePoint sample(const sosnet::SosOverlay& overlay, double time,
     point.good_members += tally.good;
     point.broken_members += tally.broken;
     point.congested_members += tally.congested;
-    point.crashed_members += tally.crashed;
   }
   point.congested_filters = overlay.congested_filter_count();
   return point;
@@ -39,33 +33,12 @@ TimelineResult run_attack_timeline(sosnet::SosOverlay& overlay,
                                    common::Rng& rng) {
   TimelineResult result;
 
-  // Benign churn: the whole fault schedule is drawn up front from the
-  // fault seed (never from the attack stream) and armed on an event queue;
-  // advancing the queue to each probe instant plays crashes, recoveries
-  // and filter flaps in global time order, interleaved with rounds and
-  // defense sweeps. A disabled config arms nothing and the queue advance
-  // is a no-op, leaving the run bit-identical to the pre-fault engine.
-  overlay::EventQueue fault_queue;
-  std::optional<faults::FaultPlan> plan;
-  std::optional<faults::FaultInjector> injector;
-  if (config.faults.enabled()) {
-    const double horizon =
-        (attack.rounds + 1) * config.round_interval + config.cooldown;
-    plan.emplace(faults::FaultPlan::generate(overlay.network().size(),
-                                             overlay.filter_count(),
-                                             config.faults, horizon));
-    injector.emplace(overlay, *plan);
-    injector->prime();
-    injector->arm(fault_queue);
-  }
-
   // Availability is piecewise constant between rounds, so sampling on the
   // probe grid inside each gap is exact as long as every gap is filled
   // *before* the next state change — hence the before_round hook.
   double next_sample = 0.0;
   const auto sample_until = [&](double horizon, common::Rng& stream) {
     while (next_sample < horizon + 1e-12) {
-      fault_queue.run_until(next_sample);
       result.points.push_back(sample(overlay, next_sample,
                                      config.probes_per_sample, stream));
       next_sample += config.probe_interval;
@@ -83,8 +56,6 @@ TimelineResult run_attack_timeline(sosnet::SosOverlay& overlay,
   };
   options.after_round = [&](sosnet::SosOverlay& net, common::Rng& stream,
                             int round) {
-    // Substrate events up to this round fire before the defense reacts.
-    fault_queue.run_until(round * config.round_interval);
     defend(net, config.defense, stream, defended);
     result.congestion_time = round * config.round_interval;
   };

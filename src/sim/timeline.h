@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "core/attack_config.h"
-#include "faults/fault_config.h"
 #include "sim/defense.h"
 #include "sosnet/sos_overlay.h"
 
@@ -26,12 +25,6 @@ struct TimelineConfig {
   int probes_per_sample = 200;   // walks averaged per sample point
   double cooldown = 3.0;         // observed time after the congestion flood
   DefenseConfig defense;         // `defend` after every round (optional)
-  /// Benign substrate churn composed with the attack: a FaultPlan drawn
-  /// from faults.seed is armed on the run's event queue, so crashes,
-  /// recoveries and filter flaps interleave with rounds and probes in
-  /// global time order. Disabled by default; a disabled config leaves the
-  /// run bit-identical to one without the faults field.
-  faults::FaultConfig faults;
 };
 
 struct TimelinePoint {
@@ -41,7 +34,6 @@ struct TimelinePoint {
   int broken_members = 0;
   int congested_members = 0;
   int congested_filters = 0;
-  int crashed_members = 0;    // SOS nodes benignly down (fault injection)
 };
 
 struct TimelineResult {

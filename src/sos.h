@@ -11,10 +11,10 @@
 //
 // Layering (each module only depends on the ones above it):
 //   common  - RNG, combinatorics, stats, tables, plots, CLI
-//   overlay - Chord ring, node population, event queue
+//   overlay - Chord ring, node population
 //   core    - the paper's models and design-space analysis
 //   sosnet  - a concrete SOS overlay + routing/protocol simulation
-//   faults  - benign-fault plans/injection (crashes, loss, filter flaps)
+//   faults  - steady-state benign faults (crashes, loss, filter flaps)
 //   attack  - attacker implementations
 //   sim     - Monte Carlo, defenses (repair/migration), timeline dynamics
 //   campaign - declarative scenario specs, cached + resumable execution
@@ -30,7 +30,6 @@
 #include "common/table.h"
 
 #include "overlay/chord.h"
-#include "overlay/event_queue.h"
 #include "overlay/network.h"
 #include "overlay/node_id.h"
 
@@ -44,7 +43,6 @@
 #include "core/model_result.h"
 #include "core/one_burst_model.h"
 #include "core/path_probability.h"
-#include "core/robust_design.h"
 #include "core/sensitivity.h"
 #include "core/successive_model.h"
 
@@ -55,7 +53,6 @@
 
 #include "faults/fault_config.h"
 #include "faults/fault_injector.h"
-#include "faults/fault_plan.h"
 
 #include "attack/attack_outcome.h"
 #include "attack/knowledge.h"

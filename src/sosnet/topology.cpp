@@ -26,14 +26,6 @@ Topology::Topology(const core::SosDesign& design, common::Rng& rng)
   build(rng, workspace);
 }
 
-Topology::Topology(const core::SosDesign& design, common::Rng& rng,
-                   TopologyWorkspace& workspace)
-    : design_(design) {
-  design_.validate();
-  check_layer_range(design_);
-  build(rng, workspace);
-}
-
 void Topology::rebuild(common::Rng& rng, TopologyWorkspace& workspace) {
   build(rng, workspace);
 }

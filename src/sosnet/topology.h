@@ -51,10 +51,6 @@ class Topology {
   /// Samples SOS membership and neighbor tables for `design` from `rng`.
   Topology(const core::SosDesign& design, common::Rng& rng);
 
-  /// Same, but sampling through `workspace` so repeated builds share scratch.
-  Topology(const core::SosDesign& design, common::Rng& rng,
-           TopologyWorkspace& workspace);
-
   /// Re-samples membership and neighbor tables from `rng` in place, reusing
   /// every buffer. Produces exactly the topology `Topology(design(), rng)`
   /// would, but allocation-free and O(members) once buffers are warm.

@@ -1,5 +1,7 @@
 #include "attack/knowledge.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace sos::attack {
@@ -19,11 +21,14 @@ TEST(AttackerKnowledge, DiscloseThenAttemptMovesOutOfPending) {
   AttackerKnowledge knowledge{100, 10};
   EXPECT_TRUE(knowledge.disclose(7));
   EXPECT_EQ(knowledge.pending_count(), 1);
-  EXPECT_EQ(knowledge.pending(), std::vector<int>{7});
+  std::vector<int> pending;
+  knowledge.pending_into(pending);
+  EXPECT_EQ(pending, std::vector<int>{7});
 
   knowledge.mark_attempted(7);
   EXPECT_EQ(knowledge.pending_count(), 0);
-  EXPECT_TRUE(knowledge.pending().empty());
+  knowledge.pending_into(pending);
+  EXPECT_TRUE(pending.empty());
   EXPECT_TRUE(knowledge.disclosed(7));
   EXPECT_TRUE(knowledge.attempted(7));
 }
@@ -59,7 +64,9 @@ TEST(AttackerKnowledge, PendingListsAllUnattemptedDisclosures) {
   knowledge.disclose(20);
   knowledge.disclose(30);
   knowledge.mark_attempted(20);
-  EXPECT_EQ(knowledge.pending(), (std::vector<int>{10, 30}));
+  std::vector<int> pending{99};  // overwritten, not appended to
+  knowledge.pending_into(pending);
+  EXPECT_EQ(pending, (std::vector<int>{10, 30}));
 }
 
 TEST(AttackerKnowledge, BoundsChecked) {

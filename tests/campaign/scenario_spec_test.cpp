@@ -67,11 +67,10 @@ TEST(ScenarioSpecParse, McTrialsDefaultSentinel) {
 TEST(ScenarioSpecParse, FaultKeysPopulateFaultConfig) {
   const auto spec = parse(kSweepHeader +
                           "fault_node_mtbf = 40\nfault_node_mttr = 5\n"
-                          "fault_lossy_fraction = 0.1\nfault_seed = 9\n");
+                          "fault_lossy_fraction = 0.1\n");
   EXPECT_DOUBLE_EQ(spec.faults.node_mtbf, 40.0);
   EXPECT_DOUBLE_EQ(spec.faults.node_mttr, 5.0);
   EXPECT_DOUBLE_EQ(spec.faults.lossy_fraction, 0.1);
-  EXPECT_EQ(spec.faults.seed, 9ULL);
   EXPECT_TRUE(spec.faults.enabled());
 }
 
@@ -86,13 +85,17 @@ TEST(ScenarioSpecErrors, SyntaxAndKeys) {
       "campaign = t\ncampaign = u\nfigures = fig4a\n",
       "ScenarioSpec: bad duplicate key 'campaign' (accepted: each key at most "
       "once)");
-  expect_rejects(
-      "campaign = t\nfigures = fig4a\nbogus = 1\n",
-      "ScenarioSpec: bad key 'bogus' (accepted: campaign, mode, figures, n, "
-      "sos, filters, p_break, mc_trials, mc_walks, seed, attacker, layers, "
-      "mappings, distribution, break_in, congestion, rounds, prior_knowledge, "
-      "fault_node_mtbf, fault_node_mttr, fault_filter_flap_mtbf, "
-      "fault_filter_flap_mttr, fault_lossy_fraction, fault_seed)");
+  const std::string accepted_keys =
+      " (accepted: campaign, mode, figures, n, sos, filters, p_break, "
+      "mc_trials, mc_walks, seed, attacker, layers, mappings, distribution, "
+      "break_in, congestion, rounds, prior_knowledge, fault_node_mtbf, "
+      "fault_node_mttr, fault_filter_flap_mtbf, fault_filter_flap_mttr, "
+      "fault_lossy_fraction)";
+  expect_rejects("campaign = t\nfigures = fig4a\nbogus = 1\n",
+                 "ScenarioSpec: bad key 'bogus'" + accepted_keys);
+  // Faults are steady-state draws from the trial stream: no schedule seed.
+  expect_rejects(kSweepHeader + "fault_seed = 9\n",
+                 "ScenarioSpec: bad key 'fault_seed'" + accepted_keys);
   expect_rejects("campaign = t\nmode = batch\n",
                  "ScenarioSpec: bad mode 'batch' (accepted: figures, sweep)");
 }

@@ -40,18 +40,6 @@ TEST(Args, TypedParseErrorsThrow) {
   EXPECT_THROW(args.get_bool("b", false), std::invalid_argument);
 }
 
-TEST(Args, IntListParses) {
-  const auto args = make_args({"--layers=1,2,4,8"});
-  EXPECT_EQ(args.get_int_list("layers", {}),
-            (std::vector<std::int64_t>{1, 2, 4, 8}));
-}
-
-TEST(Args, IntListFallback) {
-  const auto args = make_args({});
-  EXPECT_EQ(args.get_int_list("layers", {3}),
-            (std::vector<std::int64_t>{3}));
-}
-
 TEST(Args, PositionalCollected) {
   const auto args = make_args({"file1", "--k=v", "file2"});
   EXPECT_EQ(args.positional(),

@@ -42,20 +42,6 @@ TEST(Histogram, OutOfRangeClampsToEdgeBins) {
   EXPECT_EQ(h.bin(4), 1u);
 }
 
-TEST(Histogram, QuantileMatchesUniformMass) {
-  Histogram h{0.0, 100.0, 100};
-  Rng rng{5};
-  for (int i = 0; i < 100000; ++i) h.add(rng.next_double() * 100.0);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.1);
-}
-
-TEST(Histogram, EmptyQuantileIsLowerBound) {
-  const Histogram h{3.0, 7.0, 4};
-  EXPECT_EQ(h.quantile(0.5), 3.0);
-}
-
 TEST(Histogram, RenderShowsBarsAndCounts) {
   Histogram h{0.0, 4.0, 2};
   for (int i = 0; i < 8; ++i) h.add(1.0);

@@ -153,12 +153,5 @@ TEST(Apportion, ZeroWeightEntriesGetNothing) {
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 10);
 }
 
-TEST(NearlyEqual, Basics) {
-  EXPECT_TRUE(nearly_equal(1.0, 1.0));
-  EXPECT_TRUE(nearly_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(nearly_equal(1.0, 1.001));
-  EXPECT_TRUE(nearly_equal(1.0, 1.001, 0.0, 0.01));
-}
-
 }  // namespace
 }  // namespace sos::common

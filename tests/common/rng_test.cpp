@@ -38,20 +38,6 @@ TEST(Rng, NextBelowOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.next_below(1), 0u);
 }
 
-TEST(Rng, NextInInclusiveBounds) {
-  Rng rng{11};
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.next_in(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
-  }
-}
-
-TEST(Rng, NextInSingletonRange) {
-  Rng rng{11};
-  EXPECT_EQ(rng.next_in(3, 3), 3);
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng{13};
   for (int i = 0; i < 10000; ++i) {

@@ -27,34 +27,6 @@ TEST(RunningStats, KnownSmallSample) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng{99};
-  RunningStats whole, left, right;
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.next_double() * 10 - 3;
-    whole.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  b.merge(a);  // empty.merge(nonempty)
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_NEAR(b.mean(), 2.0, 1e-12);
-  RunningStats empty;
-  b.merge(empty);  // nonempty.merge(empty)
-  EXPECT_EQ(b.count(), 2u);
-}
-
 TEST(MeanConfidenceInterval, ShrinksWithSamples) {
   Rng rng{7};
   RunningStats small, large;

@@ -35,7 +35,6 @@ TEST(FormatDouble, PrecisionAndNegativeZero) {
 
 TEST(Pad, Basics) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
-  EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("abcd", 2), "abcd");  // no truncation
 }
 

@@ -48,13 +48,6 @@ TEST(Table, CsvEscapesSpecialCharacters) {
   EXPECT_EQ(csv_escape("with\nnewline"), "\"with\nnewline\"");
 }
 
-TEST(Table, NumericRowFormatsPrecision) {
-  Table t{{"v"}};
-  t.add_numeric_row({0.123456}, 3);
-  EXPECT_NE(t.to_csv().find("0.123"), std::string::npos);
-  EXPECT_EQ(t.to_csv().find("0.1235"), std::string::npos);
-}
-
 TEST(Table, CountsRowsAndColumns) {
   Table t{{"a", "b", "c"}};
   EXPECT_EQ(t.column_count(), 3u);

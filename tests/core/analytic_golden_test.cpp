@@ -159,7 +159,9 @@ TEST(AnalyticGolden, OriginalCurveBatchMatchesPerPointBitwise) {
     const auto design =
         SosDesign::make(10000, 100, layers, 10, MappingPolicy::one_to_all());
     const auto budgets = full_grid(design.total_overlay_nodes);
-    const auto curve = OriginalSosModel::p_success_curve(design, budgets);
+    OriginalSosModel::Workspace workspace;
+    std::vector<double> curve;
+    OriginalSosModel::p_success_curve(design, budgets, curve, workspace);
     ASSERT_EQ(curve.size(), budgets.size());
     for (std::size_t i = 0; i < budgets.size(); ++i)
       EXPECT_EQ(curve[i], OriginalSosModel::p_success(design, budgets[i]))

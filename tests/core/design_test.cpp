@@ -34,7 +34,6 @@ TEST(SosDesign, DegreesFollowMappingPerLayer) {
   EXPECT_EQ(design.degree_into(2), 17);
   EXPECT_EQ(design.degree_into(3), 17);
   EXPECT_EQ(design.degree_into(4), 5);  // into the 10 filters
-  EXPECT_EQ(design.degrees().size(), 4u);
 }
 
 TEST(SosDesign, OneToAllDegreesEqualLayerSizes) {

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "core/design.h"
-#include "overlay/event_queue.h"
 #include "sosnet/sos_overlay.h"
 
 namespace sos::faults {
@@ -13,133 +12,6 @@ namespace {
 core::SosDesign small_design() {
   return core::SosDesign::make(500, 60, 3, 10,
                                core::MappingPolicy::one_to_five());
-}
-
-FaultPlan manual_plan() {
-  FaultPlan plan;
-  plan.events = {
-      {1.0, FaultEventKind::kNodeCrash, 3},
-      {1.5, FaultEventKind::kFilterDown, 2},
-      {2.0, FaultEventKind::kNodeRecover, 3},
-      {2.5, FaultEventKind::kFilterUp, 2},
-  };
-  return plan;
-}
-
-TEST(FaultInjector, AdvanceToAppliesEventsInOrder) {
-  sosnet::SosOverlay overlay{small_design(), 1};
-  const auto plan = manual_plan();
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  EXPECT_EQ(injector.applied(), 0);
-
-  injector.advance_to(0.5);
-  EXPECT_EQ(injector.applied(), 0);
-  EXPECT_TRUE(overlay.node_usable(3));
-
-  injector.advance_to(1.6);
-  EXPECT_EQ(injector.applied(), 2);
-  EXPECT_FALSE(overlay.node_usable(3));
-  EXPECT_TRUE(overlay.substrate().node_crashed(3));
-  EXPECT_TRUE(overlay.filter_blocked(2));
-  EXPECT_FALSE(overlay.filter_congested(2));  // flapped, not attacked
-
-  injector.advance_to(10.0);
-  EXPECT_EQ(injector.applied(), 4);
-  EXPECT_TRUE(injector.exhausted());
-  EXPECT_TRUE(overlay.node_usable(3));
-  EXPECT_FALSE(overlay.filter_blocked(2));
-  EXPECT_FALSE(overlay.substrate().any_degraded());
-}
-
-TEST(FaultInjector, PrimeMarksLossyNodes) {
-  sosnet::SosOverlay overlay{small_design(), 2};
-  FaultPlan plan;
-  plan.lossy_nodes = {5, 9, 40};
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  EXPECT_EQ(overlay.substrate().lossy_count(), 3);
-  EXPECT_TRUE(overlay.substrate().node_lossy(9));
-  // Lossy nodes still forward traffic.
-  EXPECT_TRUE(overlay.node_usable(9));
-}
-
-TEST(FaultInjector, RecoveryRestoresLossyNotClean) {
-  sosnet::SosOverlay overlay{small_design(), 3};
-  FaultPlan plan;
-  plan.lossy_nodes = {7};
-  plan.events = {
-      {1.0, FaultEventKind::kNodeCrash, 7},
-      {2.0, FaultEventKind::kNodeRecover, 7},
-  };
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  EXPECT_TRUE(overlay.substrate().node_lossy(7));
-  injector.advance_to(1.0);
-  EXPECT_TRUE(overlay.substrate().node_crashed(7));
-  injector.advance_to(2.0);
-  EXPECT_TRUE(overlay.substrate().node_lossy(7));  // back to lossy, not kUp
-}
-
-TEST(FaultInjector, RecoveryKeepsAttackState) {
-  sosnet::SosOverlay overlay{small_design(), 4};
-  overlay.network().set_health(3, overlay::NodeHealth::kBrokenIn);
-  const auto plan = manual_plan();
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  injector.advance_to(10.0);
-  // Rebooting a captured node does not launder the compromise.
-  EXPECT_EQ(overlay.network().health(3), overlay::NodeHealth::kBrokenIn);
-  EXPECT_FALSE(overlay.node_usable(3));
-}
-
-TEST(FaultInjector, ArmPlaysEventsThroughTheQueue) {
-  sosnet::SosOverlay overlay{small_design(), 5};
-  const auto plan = manual_plan();
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  overlay::EventQueue queue;
-  injector.arm(queue);
-  EXPECT_EQ(queue.pending(), plan.events.size());
-
-  queue.run_until(1.2);
-  EXPECT_EQ(injector.applied(), 1);
-  EXPECT_FALSE(overlay.node_usable(3));
-  queue.run_until(3.0);
-  EXPECT_EQ(injector.applied(), 4);
-  EXPECT_TRUE(injector.exhausted());
-  EXPECT_FALSE(overlay.substrate().any_degraded());
-}
-
-TEST(FaultInjector, MixingArmAndAdvanceNeverDoubleApplies) {
-  sosnet::SosOverlay overlay{small_design(), 6};
-  const auto plan = manual_plan();
-  FaultInjector injector{overlay, plan};
-  injector.prime();
-  overlay::EventQueue queue;
-  injector.arm(queue);
-  // A manual advance past the first two events; the queue then replays the
-  // same times as no-ops before applying the rest.
-  injector.advance_to(1.7);
-  EXPECT_EQ(injector.applied(), 2);
-  queue.run_all();
-  EXPECT_EQ(injector.applied(), 4);
-  EXPECT_TRUE(overlay.node_usable(3));
-  EXPECT_FALSE(overlay.filter_blocked(2));
-}
-
-TEST(FaultInjector, ArmOnAnAdvancedQueueClampsOverdueEvents) {
-  sosnet::SosOverlay overlay{small_design(), 7};
-  const auto plan = manual_plan();
-  FaultInjector injector{overlay, plan};
-  overlay::EventQueue queue;
-  queue.schedule(2.2, [] {});
-  queue.run_all();  // now() = 2.2: the first three plan events are overdue
-  injector.prime();
-  injector.arm(queue);
-  queue.run_all();
-  EXPECT_EQ(injector.applied(), 4);
-  EXPECT_FALSE(overlay.substrate().any_degraded());
 }
 
 TEST(SteadyStateFaults, DisabledConfigConsumesNoDraws) {

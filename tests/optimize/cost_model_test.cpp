@@ -76,12 +76,5 @@ TEST(CostModel, ValidateGoldenErrors) {
   EXPECT_NO_THROW(defaults.validate());
 }
 
-TEST(CostModel, SummaryListsThePrices) {
-  const CostModel cost;
-  const std::string summary = cost.summary();
-  EXPECT_NE(summary.find("node="), std::string::npos);
-  EXPECT_NE(summary.find("link="), std::string::npos);
-}
-
 }  // namespace
 }  // namespace sos::optimize

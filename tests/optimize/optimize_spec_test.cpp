@@ -79,20 +79,6 @@ TEST(OptimizeSpec, GoldenErrors) {
   expect_golden_error("layers = 2\nlayers = 3\n", "duplicate");
 }
 
-TEST(OptimizeSpec, CanonicalRoundTripsExactly) {
-  auto spec = OptimizeSpec::parse(
-      "optimize = round-trip\n"
-      "layers = 1, 3\n"
-      "sos = 50, 150\n"
-      "cost_link = 0.125\n"
-      "budget_total = 1234.5\n"
-      "prior_knowledge = 0.17\n"
-      "sa_seed = 99\n");
-  const std::string canonical = spec.canonical();
-  const auto reparsed = OptimizeSpec::parse(canonical);
-  EXPECT_EQ(reparsed.canonical(), canonical);
-}
-
 TEST(OptimizeSpec, AutoSearcherResolvesBySpaceSize) {
   OptimizeSpec spec;
   spec.auto_exhaustive_max = static_cast<int>(spec.space.size());

@@ -198,5 +198,35 @@ TEST(Search, OneBurstObjectivePinsRoundsAndPriorKnowledge) {
   EXPECT_FALSE(result.frontier.empty());
 }
 
+TEST(Search, PaperGridChampionBeatsTheOriginalSosShape) {
+  // resilient_design --robust's grid: L = 1..5, every mapping and
+  // distribution, 4000 budget units at 2:1 (EXPERIMENTS.md: L=4 one-to-two
+  // even guarantees 0.33, the original SOS shape 0.00).
+  DesignSpace space;
+  space.mappings = {"one-to-one", "one-to-two", "one-to-five", "one-to-half",
+                    "one-to-all"};
+  space.distributions = {"even", "increasing", "decreasing"};
+  AttackerObjective objective;
+  objective.budget.total = 4000.0;
+  objective.budget.break_in_cost = 2.0;
+  objective.budget.congestion_cost = 1.0;
+  const auto scored =
+      evaluate_designs(space.enumerate(), CostModel{}, objective);
+
+  const EvaluatedDesign* champion = &scored.front();
+  double original = -1.0;
+  for (const auto& design : scored) {
+    if (design.p_success() > champion->p_success()) champion = &design;
+    if (design.point.key() == "L=3 n=100 map=one-to-all dist=even")
+      original = design.p_success();
+  }
+  ASSERT_GE(original, 0.0);
+  EXPECT_GT(champion->p_success(), original + 0.1);
+  // The champion is never an extreme design: pure one-to-all collapses to
+  // break-ins, L = 1 collapses to congestion.
+  EXPECT_NE(champion->point.mapping, "one-to-all");
+  EXPECT_GT(champion->point.layers, 1);
+}
+
 }  // namespace
 }  // namespace sos::optimize

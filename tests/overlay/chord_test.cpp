@@ -16,6 +16,8 @@ std::vector<NodeId> make_ids(int count, std::uint64_t seed = 7) {
   return network.ids();
 }
 
+bool all_alive(int) { return true; }
+
 TEST(ChordRing, RejectsEmptyAndDuplicateIds) {
   EXPECT_THROW(ChordRing{std::vector<NodeId>{}}, std::invalid_argument);
   EXPECT_THROW(ChordRing(std::vector<NodeId>{NodeId{1}, NodeId{1}}),
@@ -39,7 +41,7 @@ TEST(ChordRing, SuccessorIndexMatchesLinearScan) {
         expected = i;
       }
     }
-    ASSERT_EQ(got, expected) << "key=" << to_string(key);
+    ASSERT_EQ(got, expected) << "key=" << key.value;
   }
 }
 
@@ -73,7 +75,7 @@ TEST(ChordRing, LookupFindsTheResponsibleNode) {
   for (int probe = 0; probe < 500; ++probe) {
     const int from = static_cast<int>(rng.next_below(ring.size()));
     const NodeId key{rng.next()};
-    const auto result = ring.lookup(from, key);
+    const auto result = ring.lookup(from, key, all_alive);
     ASSERT_TRUE(result.ok);
     EXPECT_EQ(result.destination, ring.successor_index(key));
     EXPECT_EQ(result.path.front(), from);
@@ -92,7 +94,7 @@ TEST(ChordRing, LookupIsLogarithmic) {
     constexpr int kProbes = 300;
     for (int probe = 0; probe < kProbes; ++probe) {
       const int from = static_cast<int>(rng.next_below(ring.size()));
-      const auto result = ring.lookup(from, NodeId{rng.next()});
+      const auto result = ring.lookup(from, NodeId{rng.next()}, all_alive);
       ASSERT_TRUE(result.ok);
       EXPECT_LE(result.hops, static_cast<int>(bound) + 4);
       total_hops += result.hops;
@@ -103,7 +105,7 @@ TEST(ChordRing, LookupIsLogarithmic) {
 
 TEST(ChordRing, LookupOnSingletonRing) {
   const ChordRing ring{std::vector<NodeId>{NodeId{42}}};
-  const auto result = ring.lookup(0, NodeId{7});
+  const auto result = ring.lookup(0, NodeId{7}, all_alive);
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.destination, 0);
   EXPECT_EQ(result.hops, 0);
@@ -176,8 +178,8 @@ TEST(ChordRing, LookupTotalBlackoutFails) {
 
 TEST(ChordRing, LookupRejectsBadOrigin) {
   const ChordRing ring{make_ids(8)};
-  EXPECT_THROW(ring.lookup(-1, NodeId{1}), std::out_of_range);
-  EXPECT_THROW(ring.lookup(8, NodeId{1}), std::out_of_range);
+  EXPECT_THROW(ring.lookup(-1, NodeId{1}, all_alive), std::out_of_range);
+  EXPECT_THROW(ring.lookup(8, NodeId{1}, all_alive), std::out_of_range);
 }
 
 }  // namespace

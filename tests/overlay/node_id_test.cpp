@@ -20,33 +20,6 @@ TEST(NodeId, RingDistanceWrapsAtBoundary) {
   EXPECT_EQ(ring_distance(NodeId{kMax - 1}, NodeId{1}), 3u);
 }
 
-TEST(NodeId, OpenClosedInterval) {
-  EXPECT_TRUE(in_interval_open_closed(NodeId{10}, NodeId{20}, NodeId{15}));
-  EXPECT_TRUE(in_interval_open_closed(NodeId{10}, NodeId{20}, NodeId{20}));
-  EXPECT_FALSE(in_interval_open_closed(NodeId{10}, NodeId{20}, NodeId{10}));
-  EXPECT_FALSE(in_interval_open_closed(NodeId{10}, NodeId{20}, NodeId{25}));
-}
-
-TEST(NodeId, OpenClosedIntervalWrapsAround) {
-  // Interval (kMax-2, 3]: contains kMax-1, kMax, 0, 1, 2, 3.
-  EXPECT_TRUE(
-      in_interval_open_closed(NodeId{kMax - 2}, NodeId{3}, NodeId{kMax}));
-  EXPECT_TRUE(in_interval_open_closed(NodeId{kMax - 2}, NodeId{3}, NodeId{0}));
-  EXPECT_TRUE(in_interval_open_closed(NodeId{kMax - 2}, NodeId{3}, NodeId{3}));
-  EXPECT_FALSE(
-      in_interval_open_closed(NodeId{kMax - 2}, NodeId{3}, NodeId{4}));
-  EXPECT_FALSE(
-      in_interval_open_closed(NodeId{kMax - 2}, NodeId{3}, NodeId{kMax - 2}));
-}
-
-TEST(NodeId, DegenerateIntervalIsWholeRingForOpenClosed) {
-  // Chord convention: (n, n] wraps the entire ring, n itself included —
-  // with a single node, every key is its own responsibility.
-  EXPECT_TRUE(in_interval_open_closed(NodeId{7}, NodeId{7}, NodeId{0}));
-  EXPECT_TRUE(in_interval_open_closed(NodeId{7}, NodeId{7}, NodeId{42}));
-  EXPECT_TRUE(in_interval_open_closed(NodeId{7}, NodeId{7}, NodeId{7}));
-}
-
 TEST(NodeId, OpenOpenInterval) {
   EXPECT_TRUE(in_interval_open_open(NodeId{10}, NodeId{20}, NodeId{15}));
   EXPECT_FALSE(in_interval_open_open(NodeId{10}, NodeId{20}, NodeId{20}));
@@ -71,12 +44,6 @@ TEST(NodeId, FromIndexSpreadsAndIsDeterministic) {
   EXPECT_NE(a, node_id_from_index(1, 43));  // seed matters
   // Consecutive indices should not be adjacent on the ring.
   EXPECT_GT(ring_distance(a, b), 1000u);
-}
-
-TEST(NodeId, ToStringIsFixedWidthHex) {
-  EXPECT_EQ(to_string(NodeId{0}).size(), 16u);
-  EXPECT_EQ(to_string(NodeId{0}), "0000000000000000");
-  EXPECT_EQ(to_string(NodeId{kMax}), "ffffffffffffffff");
 }
 
 }  // namespace

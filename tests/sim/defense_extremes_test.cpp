@@ -127,14 +127,10 @@ TEST(DefenseExtremes, FullProactiveRotationChurnsEveryRole) {
     EXPECT_EQ(overlay.tally(layer).broken, 0) << "layer " << layer + 1;
 }
 
-TEST(DefenseExtremes, AllDefensesAndFaultsComposeOnTheTimeline) {
+TEST(DefenseExtremes, AllDefensesComposeOnTheTimeline) {
   TimelineConfig config;
   config.defense = {
       .repair_rate = 1.0, .migration_rate = 1.0, .proactive_rate = 1.0};
-  config.faults.node_mtbf = 1.0;
-  config.faults.node_mttr = 0.5;
-  config.faults.filter_flap_mtbf = 2.0;
-  config.faults.filter_flap_mttr = 0.5;
   sosnet::SosOverlay overlay{small_design(), 27};
   common::Rng rng{28};
   const auto result = run_attack_timeline(overlay, heavy_attack(), config, rng);

@@ -1,5 +1,5 @@
-// Faults composed with the attack engine: timeline interleaving and the
-// zero-fault / thread-count bit-identity guarantees.
+// Steady-state faults composed with the attack engine: the Monte Carlo
+// results are thread-count invariant and faults lower availability.
 #include <gtest/gtest.h>
 
 #include "attack/successive_attacker.h"
@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "faults/fault_injector.h"
 #include "sim/monte_carlo.h"
-#include "sim/timeline.h"
 
 namespace sos::sim {
 namespace {
@@ -17,40 +16,14 @@ core::SosDesign small_design() {
                                core::MappingPolicy::one_to_five());
 }
 
-core::SuccessiveAttack campaign(int rounds = 3) {
+core::SuccessiveAttack campaign() {
   core::SuccessiveAttack attack;
   attack.break_in_budget = 120;
   attack.congestion_budget = 200;
   attack.break_in_success = 0.5;
   attack.prior_knowledge = 0.2;
-  attack.rounds = rounds;
+  attack.rounds = 3;
   return attack;
-}
-
-faults::FaultConfig churn() {
-  faults::FaultConfig config;
-  config.node_mtbf = 1.0;
-  config.node_mttr = 1.0;
-  config.filter_flap_mtbf = 2.0;
-  config.filter_flap_mttr = 0.5;
-  return config;
-}
-
-void expect_identical(const TimelineResult& a, const TimelineResult& b) {
-  EXPECT_EQ(a.congestion_time, b.congestion_time);
-  EXPECT_EQ(a.attack.broken_in, b.attack.broken_in);
-  EXPECT_EQ(a.attack.congested_nodes, b.attack.congested_nodes);
-  EXPECT_EQ(a.attack.congested_filters, b.attack.congested_filters);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].time, b.points[i].time);
-    EXPECT_EQ(a.points[i].availability, b.points[i].availability);
-    EXPECT_EQ(a.points[i].good_members, b.points[i].good_members);
-    EXPECT_EQ(a.points[i].broken_members, b.points[i].broken_members);
-    EXPECT_EQ(a.points[i].congested_members, b.points[i].congested_members);
-    EXPECT_EQ(a.points[i].congested_filters, b.points[i].congested_filters);
-    EXPECT_EQ(a.points[i].crashed_members, b.points[i].crashed_members);
-  }
 }
 
 void expect_identical(const MonteCarloResult& a, const MonteCarloResult& b) {
@@ -73,56 +46,6 @@ void expect_identical(const MonteCarloResult& a, const MonteCarloResult& b) {
   EXPECT_EQ(a.capped, b.capped);
   EXPECT_EQ(a.strata.size(), b.strata.size());
   EXPECT_EQ(a.estimator_note, b.estimator_note);
-}
-
-TEST(FaultTimeline, DisabledFaultsAreBitIdenticalToThePlainEngine) {
-  // All-zero rates never arm the injector regardless of the fault seed, so
-  // the run must match a config that never mentions faults, field by field.
-  TimelineConfig plain;
-  TimelineConfig zero_rates;
-  zero_rates.faults.seed ^= 0xdeadbeef;  // a seed alone enables nothing
-
-  sosnet::SosOverlay overlay_a{small_design(), 1};
-  common::Rng rng_a{2};
-  const auto a = run_attack_timeline(overlay_a, campaign(), plain, rng_a);
-  sosnet::SosOverlay overlay_b{small_design(), 1};
-  common::Rng rng_b{2};
-  const auto b = run_attack_timeline(overlay_b, campaign(), zero_rates, rng_b);
-  expect_identical(a, b);
-  for (const auto& point : a.points) EXPECT_EQ(point.crashed_members, 0);
-}
-
-TEST(FaultTimeline, ChurnShowsUpInTheCrashedColumn) {
-  TimelineConfig config;
-  config.faults = churn();
-  sosnet::SosOverlay overlay{small_design(), 3};
-  common::Rng rng{4};
-  const auto result = run_attack_timeline(overlay, campaign(4), config, rng);
-  int crashed_samples = 0;
-  for (const auto& point : result.points) {
-    EXPECT_GE(point.crashed_members, 0);
-    EXPECT_LE(point.crashed_members, 60);
-    // The attack buckets still partition the membership; crashes overlay.
-    EXPECT_EQ(point.good_members + point.broken_members +
-                  point.congested_members,
-              60);
-    if (point.crashed_members > 0) ++crashed_samples;
-  }
-  // mtbf = mttr = 1 keeps half the substrate down on average: churn must
-  // be visible in a multi-round run.
-  EXPECT_GT(crashed_samples, 0);
-}
-
-TEST(FaultTimeline, SameFaultSeedSameRun) {
-  TimelineConfig config;
-  config.faults = churn();
-  sosnet::SosOverlay overlay_a{small_design(), 5};
-  common::Rng rng_a{6};
-  const auto a = run_attack_timeline(overlay_a, campaign(), config, rng_a);
-  sosnet::SosOverlay overlay_b{small_design(), 5};
-  common::Rng rng_b{6};
-  const auto b = run_attack_timeline(overlay_b, campaign(), config, rng_b);
-  expect_identical(a, b);
 }
 
 TEST(FaultMonteCarlo, SteadyStateFaultsAreThreadCountInvariant) {

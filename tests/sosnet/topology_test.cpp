@@ -281,7 +281,8 @@ TEST(Topology, RebuildInPlaceMatchesFreshConstruction) {
   // bit — same members, same neighbor tables, same generator state.
   common::Rng dirty_rng{999};
   TopologyWorkspace workspace;
-  Topology rebuilt{design, dirty_rng, workspace};
+  Topology rebuilt{design, dirty_rng};
+  rebuilt.rebuild(dirty_rng, workspace);
   common::Rng stream{42};
   rebuilt.rebuild(stream, workspace);
 
