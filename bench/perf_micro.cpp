@@ -205,8 +205,7 @@ void BM_AnalyticSuccessiveEvaluator(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyticSuccessiveEvaluator);
 
-// Whole rational-attacker frontier at a given worker count. Results are
-// bit-identical at every thread count; only the wall clock moves.
+// Whole rational-attacker frontier, 21 splits on the caller's thread.
 void BM_AnalyticFrontierSweep(benchmark::State& state) {
   const auto design =
       core::SosDesign::make(10000, 100, 4, 10,
@@ -216,20 +215,14 @@ void BM_AnalyticFrontierSweep(benchmark::State& state) {
   budget.break_in_cost = 2.0;
   budget.congestion_cost = 1.0;
   budget.break_in_success = 0.5;
-  common::ThreadPool pool{static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::BudgetFrontier::sweep(design, budget, 21, &pool));
+    benchmark::DoNotOptimize(core::BudgetFrontier::sweep(design, budget, 21));
   }
   state.counters["points/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 21.0,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_AnalyticFrontierSweep)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()  // work happens on pool threads, so CPU time lies
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyticFrontierSweep)->Unit(benchmark::kMillisecond);
 
 void BM_TopologyBuild(benchmark::State& state) {
   const auto design = bench_design(3);

@@ -78,7 +78,8 @@ int main(int argc, char** argv) try {
                               shape.dist.label();
     table.add_row({std::to_string(shape.layers), shape.mapping.label(),
                    shape.dist.label(),
-                   minimum ? std::to_string(*minimum) : ">" + std::to_string(max_sos),
+                   minimum ? std::to_string(*minimum)
+                           : std::string(">").append(std::to_string(max_sos)),
                    minimum ? common::format_double(p_at_min, 4) : "-",
                    common::format_double(p_at_100, 4)});
     if (minimum && (!cheapest || *minimum < *cheapest)) {

@@ -25,7 +25,9 @@ namespace sos::campaign {
 ///     auto-sweep rows lose its columns.
 /// v5: role-migration recruits are drawn by rejection — ext_migration and
 ///     ext_timeline's rotation rows draw different streams.
-inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v5";
+/// v6: ext_nc's "design choice dominates budget" check tests its claim and
+///     prints both of its numbers.
+inline constexpr std::string_view kCodeVersionSalt = "sos-campaign-v6";
 
 /// FNV-1a 64-bit over the bytes of `data`.
 std::uint64_t fnv1a64(std::string_view data) noexcept;

@@ -12,10 +12,10 @@
 // no store: run() calls it one figure at a time or 16 sweep points at a
 // time and checkpoints each batch in expansion order; a distributed worker
 // calls it for one point. Per mode:
-//   figures — each figure generator fans out over ThreadPool::shared()
-//             itself (its batches must own the pool — nesting a second
-//             parallel_for would deadlock), and its output is already
-//             bit-identical at any pool size.
+//   figures — each figure generator evaluates its closed forms on the
+//             calling thread and fans out only its Monte Carlo, as one
+//             sim::run_monte_carlo pass over ThreadPool::shared(); its
+//             output is bit-identical at any pool size.
 //   sweep   — the analytic column inline, the Monte Carlo overlay as one
 //             sim::run_monte_carlo pass over all the points' trials, each
 //             reduced in its own trial order, so results are bit-identical

@@ -36,10 +36,12 @@ std::string Histogram::render(int max_bar_width) const {
     const int width = static_cast<int>(
         std::llround(static_cast<double>(c) / static_cast<double>(peak) *
                      max_bar_width));
-    out += "[" + pad_left(format_double(bin_lower(index), 1), 7) + ", " +
+    out += '[';
+    out += pad_left(format_double(bin_lower(index), 1), 7) + ", " +
            pad_left(format_double(bin_upper(index), 1), 7) + ") ";
     out += std::string(static_cast<std::size_t>(width), '#');
-    out += " " + std::to_string(c) + "\n";
+    out += ' ';
+    out += std::to_string(c) + "\n";
   }
   return out;
 }

@@ -4,26 +4,35 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "core/successive_model.h"
 
 namespace sos::core {
 
-namespace {
+std::vector<BudgetSplit> BudgetFrontier::sweep(const SosDesign& design,
+                                               const AttackBudget& budget,
+                                               int steps) {
+  SuccessiveEvaluator evaluator{design};
+  std::vector<BudgetSplit> curve;
+  sweep_into(evaluator, budget, steps, curve);
+  return curve;
+}
 
-// The split arithmetic is invariant per point; only p_success costs
-// anything. Both sweep() and sweep_into() fill the grid through this one
-// helper so the serial and pooled paths stay bit-identical by construction.
-void fill_split_grid(int total_overlay_nodes, const AttackBudget& budget,
-                     int steps, std::vector<BudgetSplit>& out) {
+void BudgetFrontier::sweep_into(SuccessiveEvaluator& evaluator,
+                                const AttackBudget& budget, int steps,
+                                std::vector<BudgetSplit>& curve) {
   if (steps < 2)
     throw std::invalid_argument("BudgetFrontier: need at least 2 grid points");
   if (budget.total < 0.0 || budget.break_in_cost <= 0.0 ||
       budget.congestion_cost <= 0.0)
     throw std::invalid_argument("BudgetFrontier: bad budget");
-  out.assign(static_cast<std::size_t>(steps), BudgetSplit{});
+  const int total_overlay_nodes = evaluator.design().total_overlay_nodes;
+  SuccessiveAttack attack;
+  attack.break_in_success = budget.break_in_success;
+  attack.prior_knowledge = budget.prior_knowledge;
+  attack.rounds = budget.rounds;
+  curve.assign(static_cast<std::size_t>(steps), BudgetSplit{});
   for (int step = 0; step < steps; ++step) {
-    BudgetSplit& split = out[static_cast<std::size_t>(step)];
+    BudgetSplit& split = curve[static_cast<std::size_t>(step)];
     split.fraction = static_cast<double>(step) / (steps - 1);
     const double break_in_units = split.fraction * budget.total;
     const double congestion_units = budget.total - break_in_units;
@@ -34,65 +43,16 @@ void fill_split_grid(int total_overlay_nodes, const AttackBudget& budget,
         std::min(total_overlay_nodes,
                  static_cast<int>(
                      std::floor(congestion_units / budget.congestion_cost)));
+    attack.break_in_budget = split.break_in_budget;
+    attack.congestion_budget = split.congestion_budget;
+    split.p_success = evaluator.p_success(attack);
   }
 }
 
-SuccessiveAttack split_attack(const BudgetSplit& split,
-                              const AttackBudget& budget) {
-  SuccessiveAttack attack;
-  attack.break_in_budget = split.break_in_budget;
-  attack.congestion_budget = split.congestion_budget;
-  attack.break_in_success = budget.break_in_success;
-  attack.prior_knowledge = budget.prior_knowledge;
-  attack.rounds = budget.rounds;
-  return attack;
-}
-
-}  // namespace
-
-std::vector<BudgetSplit> BudgetFrontier::sweep(const SosDesign& design,
-                                               const AttackBudget& budget,
-                                               int steps,
-                                               common::ThreadPool* pool) {
-  design.validate();
-  // Fill the grid first, then evaluate every point over the pool, each into
-  // its own slot — bit-identical for any worker count.
-  std::vector<BudgetSplit> out;
-  fill_split_grid(design.total_overlay_nodes, budget, steps, out);
-
-  common::ThreadPool& workers =
-      pool != nullptr ? *pool : common::ThreadPool::shared();
-  const int worker_count =
-      std::min(workers.size(), static_cast<int>(out.size()));
-  // One evaluator per worker: the design is validated and copied once per
-  // worker instead of once per grid point, and round/accumulator buffers
-  // are recycled across the points a worker takes.
-  std::vector<SuccessiveEvaluator> evaluators;
-  evaluators.reserve(static_cast<std::size_t>(worker_count));
-  for (int w = 0; w < worker_count; ++w) evaluators.emplace_back(design);
-
-  workers.parallel_for(
-      static_cast<int>(out.size()), 0, [&](int index, int worker) {
-        BudgetSplit& split = out[static_cast<std::size_t>(index)];
-        split.p_success = evaluators[static_cast<std::size_t>(worker)]
-                              .p_success(split_attack(split, budget));
-      });
-  return out;
-}
-
-void BudgetFrontier::sweep_into(SuccessiveEvaluator& evaluator,
-                                const AttackBudget& budget, int steps,
-                                std::vector<BudgetSplit>& curve) {
-  fill_split_grid(evaluator.design().total_overlay_nodes, budget, steps,
-                  curve);
-  for (BudgetSplit& split : curve)
-    split.p_success = evaluator.p_success(split_attack(split, budget));
-}
-
 BudgetSplit BudgetFrontier::worst_case(const SosDesign& design,
-                                       const AttackBudget& budget, int steps,
-                                       common::ThreadPool* pool) {
-  return worst_case(sweep(design, budget, steps, pool));
+                                       const AttackBudget& budget,
+                                       int steps) {
+  return worst_case(sweep(design, budget, steps));
 }
 
 BudgetSplit BudgetFrontier::worst_case(const std::vector<BudgetSplit>& curve) {

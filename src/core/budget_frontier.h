@@ -15,10 +15,6 @@
 #include "core/attack_config.h"
 #include "core/design.h"
 
-namespace sos::common {
-class ThreadPool;
-}  // namespace sos::common
-
 namespace sos::core {
 
 class SuccessiveEvaluator;
@@ -45,29 +41,22 @@ class BudgetFrontier {
  public:
   /// P_S as a function of the break-in fraction, on a uniform grid of
   /// `steps` points over [0, 1]. Budgets are clamped to the overlay size.
-  /// Grid points are evaluated over `pool` (null = ThreadPool::shared())
-  /// and written into their own slots, so the curve is bit-identical for
-  /// any worker count. Must not be called from inside another parallel_for
-  /// task on the same pool.
+  /// Evaluated on the caller's thread through one SuccessiveEvaluator.
   static std::vector<BudgetSplit> sweep(const SosDesign& design,
                                         const AttackBudget& budget,
-                                        int steps = 21,
-                                        common::ThreadPool* pool = nullptr);
+                                        int steps = 21);
 
-  /// Serial batch-friendly form: fills `curve` (resized to `steps`) with the
-  /// same grid and p_success values as sweep() — bit-identical — evaluating
-  /// every split through `evaluator` on the caller's thread. Safe to call
-  /// from inside a parallel_for task (no pool use), which is how
-  /// sos::optimize evaluates thousands of designs concurrently: the outer
-  /// loop parallelizes over designs, each worker sweeps its own splits.
+  /// sweep() through a caller-held evaluator: fills `curve` (resized to
+  /// `steps`) with the grid, evaluating every split against `evaluator`'s
+  /// design. sos::optimize calls this from its per-design pool tasks, one
+  /// evaluator each.
   static void sweep_into(SuccessiveEvaluator& evaluator,
                          const AttackBudget& budget, int steps,
                          std::vector<BudgetSplit>& curve);
 
   /// The attacker's optimal (defender's worst) split from the same grid.
   static BudgetSplit worst_case(const SosDesign& design,
-                                const AttackBudget& budget, int steps = 21,
-                                common::ThreadPool* pool = nullptr);
+                                const AttackBudget& budget, int steps = 21);
 
   /// Same selection from a precomputed curve (avoids re-running the sweep
   /// when the caller already has it). Ties on p_success break toward the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "core/successive_model.h"
 
 namespace sos::core {
@@ -14,17 +13,6 @@ namespace {
 int bump_10_percent(int value) {
   return value + std::max(1, value / 10);
 }
-
-/// One finite-difference evaluation: either a perturbed attack against the
-/// base design, or the base attack against a perturbed design.
-struct Probe {
-  std::string label;
-  bool base_design = true;
-  SosDesign design;  // only read when !base_design
-  SuccessiveAttack attack;
-  bool attack_knob = true;
-  double p = 0.0;
-};
 
 }  // namespace
 
@@ -45,21 +33,22 @@ const SensitivityEntry* SensitivityReport::worst_attack_knob() const {
 
 SensitivityReport analyze_sensitivity(const SosDesign& design,
                                       const SuccessiveAttack& attack,
-                                      const NodeDistribution& distribution,
-                                      common::ThreadPool* pool) {
-  design.validate();
+                                      const NodeDistribution& distribution) {
+  // One evaluator serves the operating point and every attack knob; each
+  // design move evaluates the base attack against its own design.
+  SuccessiveEvaluator evaluator{design};
   attack.validate(design.total_overlay_nodes);
 
-  // Build the probe list up front (cheap design rebuilds included), then
-  // evaluate the whole batch over the pool. Probe index 0 is the operating
-  // point; every probe writes its own slot, so the report is bit-identical
-  // for any worker count.
-  std::vector<Probe> probes;
-  probes.push_back({"base", true, design, attack, true, 0.0});
-
-  const auto add_attack = [&](std::string label, SuccessiveAttack variant) {
-    probes.push_back(
-        {std::move(label), true, design, std::move(variant), true, 0.0});
+  SensitivityReport report;
+  report.base = evaluator.p_success(attack);
+  const auto add = [&](std::vector<SensitivityEntry>& entries,
+                       std::string label, double perturbed) {
+    entries.push_back(
+        {std::move(label), report.base, perturbed, perturbed - report.base});
+  };
+  const auto add_attack = [&](std::string label,
+                              const SuccessiveAttack& variant) {
+    add(report.attack_knobs, std::move(label), evaluator.p_success(variant));
   };
 
   {
@@ -92,9 +81,9 @@ SensitivityReport analyze_sensitivity(const SosDesign& design,
     add_attack("R +1", variant);
   }
 
-  const auto add_design = [&](std::string label, SosDesign variant) {
-    probes.push_back(
-        {std::move(label), false, std::move(variant), attack, false, 0.0});
+  const auto add_design = [&](std::string label, const SosDesign& variant) {
+    add(report.design_moves, std::move(label),
+        SuccessiveEvaluator{variant}.p_success(attack));
   };
 
   const int layers = design.layers();
@@ -129,42 +118,6 @@ SensitivityReport analyze_sensitivity(const SosDesign& design,
                rebuild(layers, design.mapping, dist));
   }
 
-  common::ThreadPool& workers =
-      pool != nullptr ? *pool : common::ThreadPool::shared();
-  const int worker_count =
-      std::min(workers.size(), static_cast<int>(probes.size()));
-  // Per-worker evaluators serve every base-design probe (the design is
-  // validated once per worker, not once per probe); design-move probes get
-  // a one-shot evaluator for their own design.
-  std::vector<SuccessiveEvaluator> evaluators;
-  evaluators.reserve(static_cast<std::size_t>(worker_count));
-  for (int w = 0; w < worker_count; ++w) evaluators.emplace_back(design);
-
-  workers.parallel_for(
-      static_cast<int>(probes.size()), 0, [&](int index, int worker) {
-        Probe& probe = probes[static_cast<std::size_t>(index)];
-        if (probe.base_design) {
-          probe.p =
-              evaluators[static_cast<std::size_t>(worker)].p_success(
-                  probe.attack);
-        } else {
-          SuccessiveEvaluator evaluator(probe.design);
-          probe.p = evaluator.p_success(probe.attack);
-        }
-      });
-
-  SensitivityReport report;
-  report.base = probes.front().p;
-  for (std::size_t i = 1; i < probes.size(); ++i) {
-    auto& probe = probes[i];
-    SensitivityEntry entry;
-    entry.parameter = std::move(probe.label);
-    entry.base = report.base;
-    entry.perturbed = probe.p;
-    entry.delta = entry.perturbed - entry.base;
-    (probe.attack_knob ? report.attack_knobs : report.design_moves)
-        .push_back(std::move(entry));
-  }
   return report;
 }
 

@@ -14,10 +14,6 @@
 #include "core/attack_config.h"
 #include "core/design.h"
 
-namespace sos::common {
-class ThreadPool;
-}  // namespace sos::common
-
 namespace sos::core {
 
 struct SensitivityEntry {
@@ -39,13 +35,9 @@ struct SensitivityReport {
 };
 
 /// Evaluates the report. `distribution` must be the one `design` was built
-/// with (designs do not retain their distribution policy). The perturbation
-/// probes are evaluated over `pool` (null = ThreadPool::shared()), each into
-/// its own slot, so the report is bit-identical for any worker count. Must
-/// not be called from inside another parallel_for task on the same pool.
+/// with (designs do not retain their distribution policy).
 SensitivityReport analyze_sensitivity(
     const SosDesign& design, const SuccessiveAttack& attack,
-    const NodeDistribution& distribution = NodeDistribution::even(),
-    common::ThreadPool* pool = nullptr);
+    const NodeDistribution& distribution = NodeDistribution::even());
 
 }  // namespace sos::core

@@ -1,14 +1,11 @@
 // Internal helpers shared by the figure generators. Not installed API.
 #pragma once
 
-#include <functional>
-
 #include "attack/one_burst_attacker.h"
 #include "attack/random_congestion_attacker.h"
 #include "attack/successive_attacker.h"
 #include "common/stats.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/design.h"
 #include "core/one_burst_model.h"
 #include "core/successive_model.h"
@@ -32,34 +29,10 @@ inline sim::MonteCarloConfig mc_config(const Params& params) {
   return config;
 }
 
-inline sim::MonteCarloResult run_mc(const Params& params,
-                                    const core::SosDesign& design,
-                                    const core::OneBurstAttack& attack) {
-  const attack::OneBurstAttacker attacker{attack};
-  return sim::run_monte_carlo(
-      design,
-      [&attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
-        return attacker.execute(overlay, rng);
-      },
-      mc_config(params));
-}
-
-inline sim::MonteCarloResult run_mc(
-    const Params& params, const core::SosDesign& design,
-    const core::SuccessiveAttack& attack,
-    const attack::SuccessiveAttackerOptions& options = {}) {
-  const attack::SuccessiveAttacker attacker{attack, options};
-  return sim::run_monte_carlo(
-      design,
-      [&attacker](sosnet::SosOverlay& overlay, common::Rng& rng) {
-        return attacker.execute(overlay, rng);
-      },
-      mc_config(params));
-}
-
 /// Batched Monte Carlo for figure sweeps: queue every point first, run them
-/// all as one pass over the shared ThreadPool, then read results in queue
-/// order. Each point's result is bit-identical to the equivalent run_mc call.
+/// all as one list-form sim::run_monte_carlo pass, then read results in
+/// queue order. Each point's result is bit-identical to a standalone
+/// run_monte_carlo call on that point. An empty batch never reaches the pool.
 class McBatch {
  public:
   explicit McBatch(const Params& params) : params_(params) {}
@@ -96,53 +69,6 @@ class McBatch {
   Params params_;
   std::vector<sim::MonteCarloPoint> points_;
   std::vector<sim::MonteCarloResult> results_;
-};
-
-/// Batched closed-form evaluation for the figures' analytic columns: queue
-/// every model point, run them all over the shared ThreadPool, then read the
-/// values in queue order. Each point writes its own slot, so the columns are
-/// bit-identical to serial per-point evaluation at any worker count. Points
-/// must not use the shared pool themselves (a nested parallel_for on one
-/// pool deadlocks) — in particular, don't queue BudgetFrontier::sweep or
-/// analyze_sensitivity calls here.
-class AnalyticBatch {
- public:
-  int add(std::function<double()> point) {
-    points_.push_back(std::move(point));
-    return static_cast<int>(points_.size()) - 1;
-  }
-
-  int add(const core::SosDesign& design,
-          const core::SuccessiveAttack& attack) {
-    return add([design, attack] {
-      return core::SuccessiveModel::p_success(design, attack);
-    });
-  }
-
-  int add(const core::SosDesign& design, const core::OneBurstAttack& attack) {
-    return add([design, attack] {
-      return core::OneBurstModel::p_success(design, attack);
-    });
-  }
-
-  void run() {
-    values_.assign(points_.size(), 0.0);
-    common::ThreadPool::shared().parallel_for(
-        static_cast<int>(points_.size()), 0,
-        [this](int index, int) {
-          values_[static_cast<std::size_t>(index)] =
-              points_[static_cast<std::size_t>(index)]();
-        });
-    points_.clear();
-  }
-
-  double value(int index) const {
-    return values_.at(static_cast<std::size_t>(index));
-  }
-
- private:
-  std::vector<std::function<double()>> points_;
-  std::vector<double> values_;
 };
 
 inline std::string fmt(double value, int precision = 4) {

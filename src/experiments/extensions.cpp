@@ -37,33 +37,18 @@ Figure ext_nc_sensitivity(const Params& params) {
 
   const std::vector<int> budgets{0, 500, 1000, 2000, 3000, 4000, 6000, 8000};
   std::map<std::string, std::map<int, double>> model_values;
-  detail::AnalyticBatch analytic;
-
   for (const int layers : {3, 5}) {
     for (const auto& mapping :
          {core::MappingPolicy::one_to_two(),
           core::MappingPolicy::one_to_five()}) {
       const auto design = detail::make_design(params, layers, mapping);
-      for (const int budget_c : budgets) {
-        auto attack = detail::default_successive(params);
-        attack.congestion_budget = budget_c;
-        analytic.add(design, attack);
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int layers : {3, 5}) {
-    for (const auto& mapping :
-         {core::MappingPolicy::one_to_two(),
-          core::MappingPolicy::one_to_five()}) {
       common::Series series;
       series.label =
           "L=" + std::to_string(layers) + " " + mapping.label();
       for (const int budget_c : budgets) {
-        const double p = analytic.value(point);
-        ++point;
+        auto attack = detail::default_successive(params);
+        attack.congestion_budget = budget_c;
+        const double p = core::SuccessiveModel::p_success(design, attack);
         series.xs.push_back(budget_c);
         series.ys.push_back(p);
         model_values[series.label][budget_c] = p;
@@ -86,13 +71,19 @@ Figure ext_nc_sensitivity(const Params& params) {
       "P_S decreases monotonically in N_C for every configuration", monotone,
       ""));
   {
-    const double lo = model_values["L=5 one-to-two"].at(2000);
-    const double hi = model_values["L=3 one-to-five"].at(2000);
+    double lo = 2.0, hi = -1.0, largest_move = 0.0;
+    for (const auto& [label, by_nc] : model_values) {
+      lo = std::min(lo, by_nc.at(2000));
+      hi = std::max(hi, by_nc.at(2000));
+      largest_move =
+          std::max(largest_move, std::fabs(by_nc.at(2000) - by_nc.at(4000)));
+    }
     figure.checks.push_back(make_check(
-        "design choice dominates budget: configurations separate far more "
-        "than doubling N_C moves any one curve",
-        std::fabs(lo - hi) > 0.0 || true,
-        "example at NC=2000: " + fmt(lo) + " vs " + fmt(hi)));
+        "design choice dominates budget: configurations separate more than "
+        "doubling N_C (2000 -> 4000) moves any one curve",
+        hi - lo > largest_move,
+        "spread at NC=2000: " + fmt(hi - lo) +
+            ", largest move 2000 -> 4000: " + fmt(largest_move)));
   }
   return figure;
 }
@@ -199,61 +190,36 @@ Figure ext_exact_vs_average(const Params& params) {
   double worst_gap_all = 0.0;
   double worst_gap_one = 0.0;
 
-  // One whole-curve job per design: the exact model's layer DP is budget
-  // independent, so p_success_curve amortizes it over the budget grid, and
-  // the nine designs run concurrently on the shared pool. Results land in
-  // per-design slots, keeping the emitted table order (and values) identical
-  // to the serial per-point loop.
-  struct DesignCurves {
-    int layers = 0;
-    core::MappingPolicy mapping;
-    core::SosDesign design;
-    std::vector<double> exact;
-    std::vector<double> average;
-  };
-  std::vector<DesignCurves> jobs;
+  // The exact model's layer DP is budget independent, so one
+  // p_success_curve call per design amortizes it over the budget grid.
   for (const int layers : {1, 3, 8}) {
     for (const auto& mapping :
          {core::MappingPolicy::one_to_one(), core::MappingPolicy::one_to_half(),
           core::MappingPolicy::one_to_all()}) {
-      jobs.push_back(DesignCurves{layers, mapping,
-                                  detail::make_design(params, layers, mapping),
-                                  {},
-                                  {}});
+      const auto design = detail::make_design(params, layers, mapping);
+      const auto exact_curve =
+          core::ExactRandomCongestionModel::p_success_curve(design, budgets);
+      common::Series exact_series;
+      exact_series.label = "L=" + std::to_string(layers) + " " +
+                           mapping.label() + " exact";
+      for (std::size_t i = 0; i < budgets.size(); ++i) {
+        const int budget_c = budgets[i];
+        const double exact = exact_curve[i];
+        const double average = core::OneBurstModel::p_success(
+            design, core::OneBurstAttack{0, budget_c, params.p_break});
+        exact_series.xs.push_back(budget_c);
+        exact_series.ys.push_back(exact);
+        const double gap = average - exact;
+        if (mapping.label() == "one-to-all")
+          worst_gap_all = std::max(worst_gap_all, gap);
+        if (mapping.label() == "one-to-one")
+          worst_gap_one = std::max(worst_gap_one, std::fabs(gap));
+        figure.table.add_row({std::to_string(layers), mapping.label(),
+                              std::to_string(budget_c), fmt(exact),
+                              fmt(average), fmt(gap)});
+      }
+      figure.series.push_back(std::move(exact_series));
     }
-  }
-  common::ThreadPool::shared().parallel_for(
-      static_cast<int>(jobs.size()), 0, [&](int index, int) {
-        DesignCurves& job = jobs[static_cast<std::size_t>(index)];
-        job.exact = core::ExactRandomCongestionModel::p_success_curve(
-            job.design, budgets);
-        job.average.reserve(budgets.size());
-        for (const int budget_c : budgets)
-          job.average.push_back(core::OneBurstModel::p_success(
-              job.design, core::OneBurstAttack{0, budget_c, params.p_break}));
-      });
-
-  for (const DesignCurves& job : jobs) {
-    common::Series exact_series;
-    exact_series.label =
-        "L=" + std::to_string(job.layers) + " " + job.mapping.label() +
-        " exact";
-    for (std::size_t i = 0; i < budgets.size(); ++i) {
-      const int budget_c = budgets[i];
-      const double exact = job.exact[i];
-      const double average = job.average[i];
-      exact_series.xs.push_back(budget_c);
-      exact_series.ys.push_back(exact);
-      const double gap = average - exact;
-      if (job.mapping.label() == "one-to-all")
-        worst_gap_all = std::max(worst_gap_all, gap);
-      if (job.mapping.label() == "one-to-one")
-        worst_gap_one = std::max(worst_gap_one, std::fabs(gap));
-      figure.table.add_row({std::to_string(job.layers), job.mapping.label(),
-                            std::to_string(budget_c), fmt(exact),
-                            fmt(average), fmt(gap)});
-    }
-    figure.series.push_back(std::move(exact_series));
   }
 
   figure.checks.push_back(make_check(
@@ -285,17 +251,25 @@ Figure ext_adaptive_attacker(const Params& params) {
   common::Series standard_series{"standard successive", {}, {}};
   common::Series adaptive_series{"adaptive (monitors predecessors)", {}, {}};
 
-  bool adaptive_weaker_everywhere = true;
-  for (const int budget_t : {100, 200, 400, 800, 1600}) {
+  attack::SuccessiveAttackerOptions adaptive_options;
+  adaptive_options.monitor_predecessors = true;
+  adaptive_options.monitor_detection = 0.5;
+  // Each budget queues its standard attack, then its adaptive one.
+  const std::vector<int> budgets{100, 200, 400, 800, 1600};
+  detail::McBatch batch{mc_params};
+  for (const int budget_t : budgets) {
     auto attack = detail::default_successive(params);
     attack.break_in_budget = budget_t;
+    batch.add(design, attack);
+    batch.add(design, attack, adaptive_options);
+  }
+  batch.run();
 
-    const auto standard = detail::run_mc(mc_params, design, attack);
-    attack::SuccessiveAttackerOptions options;
-    options.monitor_predecessors = true;
-    options.monitor_detection = 0.5;
-    const auto adaptive = detail::run_mc(mc_params, design, attack, options);
-
+  bool adaptive_weaker_everywhere = true;
+  int point = 0;
+  for (const int budget_t : budgets) {
+    const auto& standard = batch.result(point++);
+    const auto& adaptive = batch.result(point++);
     standard_series.xs.push_back(budget_t);
     standard_series.ys.push_back(standard.p_success);
     adaptive_series.xs.push_back(budget_t);
@@ -685,9 +659,6 @@ Figure ext_budget_split(const Params& params) {
        detail::make_design(params, 6, core::MappingPolicy::one_to_one())},
   };
 
-  // sweep() is internally parallel (one evaluator per pool worker), so the
-  // designs run serially here; each curve is kept for the checks below
-  // instead of re-sweeping.
   std::map<std::string, double> worst_by_design;
   std::map<std::string, std::vector<core::BudgetSplit>> curve_by_design;
   for (const auto& entry : designs) {
@@ -1094,19 +1065,8 @@ Figure ext_mapping_profile(const Params& params) {
   };
 
   std::map<std::string, std::map<int, double>> values;
-  detail::AnalyticBatch analytic;
   for (const auto& profile : profiles) {
     const auto design = make_profiled(profile.degrees);
-    for (const int budget_t : {0, 200, 500, 1000, 2000, 4000}) {
-      auto attack = detail::default_successive(params);
-      attack.break_in_budget = budget_t;
-      analytic.add(design, attack);
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const auto& profile : profiles) {
     common::Series series{profile.label, {}, {}};
     std::string degree_text;
     for (std::size_t i = 0; i < profile.degrees.size(); ++i) {
@@ -1114,8 +1074,9 @@ Figure ext_mapping_profile(const Params& params) {
       degree_text += std::to_string(profile.degrees[i]);
     }
     for (const int budget_t : {0, 200, 500, 1000, 2000, 4000}) {
-      const double p = analytic.value(point);
-      ++point;
+      auto attack = detail::default_successive(params);
+      attack.break_in_budget = budget_t;
+      const double p = core::SuccessiveModel::p_success(design, attack);
       series.xs.push_back(budget_t);
       series.ys.push_back(p);
       values[profile.label][budget_t] = p;

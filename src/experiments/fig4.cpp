@@ -49,43 +49,25 @@ Figure fig4a(const Params& params) {
   std::map<CurveKey, common::Series> curves;
   std::map<CurveKey, std::map<int, double>> model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
-  // Queue every analytic point (and its Monte Carlo companion) first, run
-  // the batch over the thread pool, then assemble series/rows in the same
-  // order the serial loop used.
   for (const int budget_c : {2000, 6000}) {
     for (const auto& mapping : fig4_mappings()) {
+      const CurveKey key{budget_c, mapping.label()};
+      auto& series = curves[key];
+      series.label = "NC=" + std::to_string(budget_c) + " " + mapping.label();
       for (int layers = 1; layers <= kMaxLayers; ++layers) {
         const auto design = detail::make_design(params, layers, mapping);
         const core::OneBurstAttack attack{0, budget_c, params.p_break};
-        detail::DeferredRow row{{std::to_string(budget_c), mapping.label(),
-                                 std::to_string(layers)},
-                                -1};
-        analytic.add(design, attack);
-        if (with_mc) row.mc = batch.add(design, attack);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int budget_c : {2000, 6000}) {
-    for (const auto& mapping : fig4_mappings()) {
-      for (int layers = 1; layers <= kMaxLayers; ++layers) {
-        const double p_model = analytic.value(point);
-        const CurveKey key{budget_c, mapping.label()};
-        auto& series = curves[key];
-        if (series.label.empty())
-          series.label =
-              "NC=" + std::to_string(budget_c) + " " + mapping.label();
+        const double p_model = core::OneBurstModel::p_success(design, attack);
         series.xs.push_back(layers);
         series.ys.push_back(p_model);
         model_values[key][layers] = p_model;
-        rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-        ++point;
+        detail::DeferredRow row{{std::to_string(budget_c), mapping.label(),
+                                 std::to_string(layers), fmt(p_model)},
+                                -1};
+        if (with_mc) row.mc = batch.add(design, attack);
+        rows.push_back(std::move(row));
       }
     }
   }
@@ -149,40 +131,25 @@ Figure fig4b(const Params& params) {
   std::map<CurveKey, common::Series> curves;
   std::map<CurveKey, std::map<int, double>> model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
   for (const int budget_t : {200, 2000}) {
     for (const auto& mapping : fig4_mappings()) {
+      const CurveKey key{budget_t, mapping.label()};
+      auto& series = curves[key];
+      series.label = "NT=" + std::to_string(budget_t) + " " + mapping.label();
       for (int layers = 1; layers <= kMaxLayers; ++layers) {
         const auto design = detail::make_design(params, layers, mapping);
         const core::OneBurstAttack attack{budget_t, 2000, params.p_break};
-        detail::DeferredRow row{{std::to_string(budget_t), mapping.label(),
-                                 std::to_string(layers)},
-                                -1};
-        analytic.add(design, attack);
-        if (with_mc) row.mc = batch.add(design, attack);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int budget_t : {200, 2000}) {
-    for (const auto& mapping : fig4_mappings()) {
-      for (int layers = 1; layers <= kMaxLayers; ++layers) {
-        const double p_model = analytic.value(point);
-        const CurveKey key{budget_t, mapping.label()};
-        auto& series = curves[key];
-        if (series.label.empty())
-          series.label =
-              "NT=" + std::to_string(budget_t) + " " + mapping.label();
+        const double p_model = core::OneBurstModel::p_success(design, attack);
         series.xs.push_back(layers);
         series.ys.push_back(p_model);
         model_values[key][layers] = p_model;
-        rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-        ++point;
+        detail::DeferredRow row{{std::to_string(budget_t), mapping.label(),
+                                 std::to_string(layers), fmt(p_model)},
+                                -1};
+        if (with_mc) row.mc = batch.add(design, attack);
+        rows.push_back(std::move(row));
       }
     }
   }

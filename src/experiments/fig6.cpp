@@ -44,26 +44,14 @@ Figure fig6a(const Params& params) {
   std::string best_label;
   std::map<std::string, std::map<int, double>> model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
-  for (const auto& mapping : fig6_mappings()) {
-    for (int layers = 1; layers <= kMaxLayers; ++layers) {
-      const auto design = detail::make_design(params, layers, mapping);
-      detail::DeferredRow row{{mapping.label(), std::to_string(layers)}, -1};
-      analytic.add(design, attack);
-      if (with_mc) row.mc = batch.add(design, attack);
-      rows.push_back(std::move(row));
-    }
-  }
-  analytic.run();
-
-  int point = 0;
   for (const auto& mapping : fig6_mappings()) {
     common::Series series;
     series.label = mapping.label();
     for (int layers = 1; layers <= kMaxLayers; ++layers) {
-      const double p_model = analytic.value(point);
+      const auto design = detail::make_design(params, layers, mapping);
+      const double p_model = core::SuccessiveModel::p_success(design, attack);
       series.xs.push_back(layers);
       series.ys.push_back(p_model);
       model_values[mapping.label()][layers] = p_model;
@@ -71,8 +59,10 @@ Figure fig6a(const Params& params) {
         best = p_model;
         best_label = mapping.label() + " L=" + std::to_string(layers);
       }
-      rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-      ++point;
+      detail::DeferredRow row{
+          {mapping.label(), std::to_string(layers), fmt(p_model)}, -1};
+      if (with_mc) row.mc = batch.add(design, attack);
+      rows.push_back(std::move(row));
     }
     figure.series.push_back(std::move(series));
   }
@@ -136,36 +126,25 @@ Figure fig6b(const Params& params) {
   std::map<std::string, std::map<std::string, std::map<int, double>>>
       model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
-  for (const auto& mapping : mappings) {
-    for (const auto& dist : distributions) {
-      for (int layers = 2; layers <= kMaxLayers; ++layers) {
-        const auto design =
-            detail::make_design(params, layers, mapping, dist);
-        detail::DeferredRow row{
-            {dist.label(), mapping.label(), std::to_string(layers)}, -1};
-        analytic.add(design, attack);
-        if (with_mc) row.mc = batch.add(design, attack);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
   for (const auto& mapping : mappings) {
     for (const auto& dist : distributions) {
       common::Series series;
       series.label = dist.label() + " " + mapping.label();
       for (int layers = 2; layers <= kMaxLayers; ++layers) {
-        const double p_model = analytic.value(point);
+        const auto design =
+            detail::make_design(params, layers, mapping, dist);
+        const double p_model =
+            core::SuccessiveModel::p_success(design, attack);
         series.xs.push_back(layers);
         series.ys.push_back(p_model);
         model_values[mapping.label()][dist.label()][layers] = p_model;
-        rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-        ++point;
+        detail::DeferredRow row{{dist.label(), mapping.label(),
+                                 std::to_string(layers), fmt(p_model)},
+                                -1};
+        if (with_mc) row.mc = batch.add(design, attack);
+        rows.push_back(std::move(row));
       }
       figure.series.push_back(std::move(series));
     }

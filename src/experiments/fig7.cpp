@@ -28,34 +28,23 @@ Figure fig7(const Params& params) {
   const auto mapping = core::MappingPolicy::one_to_five();
   std::map<int, std::map<int, double>> model_values;  // [L][R]
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
   for (const int layers : {2, 3, 4, 5}) {
     const auto design = detail::make_design(params, layers, mapping);
-    for (int rounds = 1; rounds <= kMaxRounds; ++rounds) {
-      auto attack = detail::default_successive(params);
-      attack.rounds = rounds;
-      detail::DeferredRow row{
-          {std::to_string(layers), std::to_string(rounds)}, -1};
-      analytic.add(design, attack);
-      if (with_mc) row.mc = batch.add(design, attack);
-      rows.push_back(std::move(row));
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int layers : {2, 3, 4, 5}) {
     common::Series series;
     series.label = "L=" + std::to_string(layers);
     for (int rounds = 1; rounds <= kMaxRounds; ++rounds) {
-      const double p_model = analytic.value(point);
+      auto attack = detail::default_successive(params);
+      attack.rounds = rounds;
+      const double p_model = core::SuccessiveModel::p_success(design, attack);
       series.xs.push_back(rounds);
       series.ys.push_back(p_model);
       model_values[layers][rounds] = p_model;
-      rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-      ++point;
+      detail::DeferredRow row{
+          {std::to_string(layers), std::to_string(rounds), fmt(p_model)}, -1};
+      if (with_mc) row.mc = batch.add(design, attack);
+      rows.push_back(std::move(row));
     }
     figure.series.push_back(std::move(series));
   }

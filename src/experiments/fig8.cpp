@@ -43,7 +43,6 @@ Figure fig8a(const Params& params) {
   // [N][mapping][NT]
   std::map<int, std::map<std::string, std::map<int, double>>> model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
   for (const int total : {10000, 20000}) {
@@ -51,31 +50,20 @@ Figure fig8a(const Params& params) {
       Params scaled = params;
       scaled.total_overlay = total;
       const auto design = detail::make_design(scaled, 3, mapping);
-      for (const int budget_t : nt_sweep()) {
-        const auto attack = attack_with_nt(params, budget_t);
-        detail::DeferredRow row{{std::to_string(total), mapping.label(),
-                                 std::to_string(budget_t)},
-                                -1};
-        analytic.add(design, attack);
-        if (with_mc) row.mc = batch.add(design, attack);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int total : {10000, 20000}) {
-    for (const auto& mapping : mappings) {
       common::Series series;
       series.label = "N=" + std::to_string(total) + " " + mapping.label();
       for (const int budget_t : nt_sweep()) {
-        const double p_model = analytic.value(point);
+        const auto attack = attack_with_nt(params, budget_t);
+        const double p_model =
+            core::SuccessiveModel::p_success(design, attack);
         series.xs.push_back(budget_t);
         series.ys.push_back(p_model);
         model_values[total][mapping.label()][budget_t] = p_model;
-        rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-        ++point;
+        detail::DeferredRow row{{std::to_string(total), mapping.label(),
+                                 std::to_string(budget_t), fmt(p_model)},
+                                -1};
+        if (with_mc) row.mc = batch.add(design, attack);
+        rows.push_back(std::move(row));
       }
       figure.series.push_back(std::move(series));
     }
@@ -142,37 +130,25 @@ Figure fig8b(const Params& params) {
       core::MappingPolicy::one_to_two(), core::MappingPolicy::one_to_five()};
   std::map<int, std::map<std::string, std::map<int, double>>> model_values;
   detail::McBatch batch{params};
-  detail::AnalyticBatch analytic;
   std::vector<detail::DeferredRow> rows;
 
   for (const int layers : {3, 5}) {
     for (const auto& mapping : mappings) {
       const auto design = detail::make_design(params, layers, mapping);
-      for (const int budget_t : nt_sweep()) {
-        const auto attack = attack_with_nt(params, budget_t);
-        detail::DeferredRow row{{std::to_string(layers), mapping.label(),
-                                 std::to_string(budget_t)},
-                                -1};
-        analytic.add(design, attack);
-        if (with_mc) row.mc = batch.add(design, attack);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  analytic.run();
-
-  int point = 0;
-  for (const int layers : {3, 5}) {
-    for (const auto& mapping : mappings) {
       common::Series series;
       series.label = "L=" + std::to_string(layers) + " " + mapping.label();
       for (const int budget_t : nt_sweep()) {
-        const double p_model = analytic.value(point);
+        const auto attack = attack_with_nt(params, budget_t);
+        const double p_model =
+            core::SuccessiveModel::p_success(design, attack);
         series.xs.push_back(budget_t);
         series.ys.push_back(p_model);
         model_values[layers][mapping.label()][budget_t] = p_model;
-        rows[static_cast<std::size_t>(point)].cells.push_back(fmt(p_model));
-        ++point;
+        detail::DeferredRow row{{std::to_string(layers), mapping.label(),
+                                 std::to_string(budget_t), fmt(p_model)},
+                                -1};
+        if (with_mc) row.mc = batch.add(design, attack);
+        rows.push_back(std::move(row));
       }
       figure.series.push_back(std::move(series));
     }

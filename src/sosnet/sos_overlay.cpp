@@ -89,7 +89,6 @@ std::size_t SosOverlay::footprint_bytes() const noexcept {
 SosOverlay::LayerTally SosOverlay::tally(int layer) const {
   LayerTally out;
   for (const int node : topology_.members(layer)) {
-    if (substrate_.node_crashed(node)) ++out.crashed;
     switch (network_.health(node)) {
       case overlay::NodeHealth::kBrokenIn:
         ++out.broken;

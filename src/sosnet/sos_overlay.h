@@ -96,15 +96,12 @@ class SosOverlay {
   /// Restores every overlay node and filter to healthy.
   void reset_health();
 
-  /// Per-layer health tally (0-based layer). broken/congested/good split
-  /// the members by attack state; crashed counts members the substrate has
-  /// down (orthogonal — a crashed member also appears in its attack
-  /// bucket).
+  /// Per-layer health tally (0-based layer): broken/congested/good split
+  /// the members by attack state.
   struct LayerTally {
     int broken = 0;
     int congested = 0;
     int good = 0;
-    int crashed = 0;
   };
   LayerTally tally(int layer) const;
 

@@ -6,8 +6,8 @@
 // work, so the exact model is pinned with a tight relative tolerance while
 // the original-SOS model and the budget frontier — whose arithmetic is
 // unchanged — are pinned bit-for-bit. A second group of tests checks the
-// structural invariants the batch APIs promise: batch == per-point, and
-// parallel sweeps bit-identical at every worker count.
+// structural invariants the batch APIs promise: batch and reused-evaluator
+// results equal the per-point models bit for bit.
 #include "core/exact_models.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/budget_frontier.h"
 #include "core/sensitivity.h"
 #include "core/successive_model.h"
@@ -186,59 +185,57 @@ TEST(AnalyticGolden, SuccessiveEvaluatorMatchesPerPointBitwise) {
   }
 }
 
-TEST(AnalyticGolden, FrontierSweepBitIdenticalAcrossThreadCounts) {
-  const auto design =
-      SosDesign::make(10000, 100, 4, 10, MappingPolicy::one_to_two());
-  const auto budget = frontier_budget();
-  common::ThreadPool serial{1};
-  const auto reference = BudgetFrontier::sweep(design, budget, 21, &serial);
-  for (const int threads : {2, 8}) {
-    common::ThreadPool pool{threads};
-    const auto curve = BudgetFrontier::sweep(design, budget, 21, &pool);
-    ASSERT_EQ(curve.size(), reference.size());
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      EXPECT_EQ(curve[i].fraction, reference[i].fraction);
-      EXPECT_EQ(curve[i].break_in_budget, reference[i].break_in_budget);
-      EXPECT_EQ(curve[i].congestion_budget, reference[i].congestion_budget);
-      EXPECT_EQ(curve[i].p_success, reference[i].p_success)
-          << "threads " << threads << " step " << i;
-    }
-  }
-}
-
-TEST(AnalyticGolden, SensitivityBitIdenticalAcrossThreadCounts) {
-  const auto design =
-      SosDesign::make(10000, 100, 4, 10, MappingPolicy::one_to_two());
+TEST(AnalyticGolden, SensitivityProbesMatchPerPointModelBitwise) {
+  const auto make = [](int layers, const MappingPolicy& mapping,
+                       const NodeDistribution& dist) {
+    return SosDesign::make(10000, 100, layers, 10, mapping, dist);
+  };
+  const auto even = NodeDistribution::even();
+  const auto design = make(4, MappingPolicy::one_to_two(), even);
   SuccessiveAttack attack;
   attack.break_in_budget = 200;
   attack.congestion_budget = 2000;
   attack.break_in_success = 0.5;
   attack.prior_knowledge = 0.2;
   attack.rounds = 3;
-  common::ThreadPool serial{1};
-  const auto reference = analyze_sensitivity(
-      design, attack, NodeDistribution::even(), &serial);
-  for (const int threads : {2, 8}) {
-    common::ThreadPool pool{threads};
-    const auto report =
-        analyze_sensitivity(design, attack, NodeDistribution::even(), &pool);
-    EXPECT_EQ(report.base, reference.base);
-    ASSERT_EQ(report.attack_knobs.size(), reference.attack_knobs.size());
-    ASSERT_EQ(report.design_moves.size(), reference.design_moves.size());
-    for (std::size_t i = 0; i < report.attack_knobs.size(); ++i) {
-      EXPECT_EQ(report.attack_knobs[i].parameter,
-                reference.attack_knobs[i].parameter);
-      EXPECT_EQ(report.attack_knobs[i].perturbed,
-                reference.attack_knobs[i].perturbed)
-          << "threads " << threads << " knob " << i;
-    }
-    for (std::size_t i = 0; i < report.design_moves.size(); ++i) {
-      EXPECT_EQ(report.design_moves[i].parameter,
-                reference.design_moves[i].parameter);
-      EXPECT_EQ(report.design_moves[i].perturbed,
-                reference.design_moves[i].perturbed)
-          << "threads " << threads << " move " << i;
-    }
+  const auto report = analyze_sensitivity(design, attack);
+  EXPECT_EQ(report.base, SuccessiveModel::p_success(design, attack));
+
+  std::vector<std::pair<std::string, SuccessiveAttack>> knobs(5, {"", attack});
+  knobs[0].first = "N_T +10%";
+  knobs[0].second.break_in_budget = 220;
+  knobs[1].first = "N_C +10%";
+  knobs[1].second.congestion_budget = 2200;
+  knobs[2].first = "P_B +10%";
+  knobs[2].second.break_in_success = attack.break_in_success * 1.1 + 1e-3;
+  knobs[3].first = "P_E +10%";
+  knobs[3].second.prior_knowledge = attack.prior_knowledge * 1.1 + 1e-3;
+  knobs[4].first = "R +1";
+  knobs[4].second.rounds = 4;
+  ASSERT_EQ(report.attack_knobs.size(), knobs.size());
+  for (std::size_t i = 0; i < knobs.size(); ++i) {
+    EXPECT_EQ(report.attack_knobs[i].parameter, knobs[i].first);
+    EXPECT_EQ(report.attack_knobs[i].perturbed,
+              SuccessiveModel::p_success(design, knobs[i].second))
+        << knobs[i].first;
+  }
+
+  const std::vector<std::pair<std::string, SosDesign>> moves{
+      {"L -> 3", make(3, MappingPolicy::one_to_two(), even)},
+      {"L -> 5", make(5, MappingPolicy::one_to_two(), even)},
+      {"mapping -> fixed 1", make(4, MappingPolicy::fixed(1), even)},
+      {"mapping -> fixed 3", make(4, MappingPolicy::fixed(3), even)},
+      {"distribution -> increasing",
+       make(4, MappingPolicy::one_to_two(), NodeDistribution::increasing())},
+      {"distribution -> decreasing",
+       make(4, MappingPolicy::one_to_two(), NodeDistribution::decreasing())},
+  };
+  ASSERT_EQ(report.design_moves.size(), moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    EXPECT_EQ(report.design_moves[i].parameter, moves[i].first);
+    EXPECT_EQ(report.design_moves[i].perturbed,
+              SuccessiveModel::p_success(moves[i].second, attack))
+        << moves[i].first;
   }
 }
 

@@ -76,7 +76,8 @@ TEST(Pareto, FrontierMatchesBruteForceReference) {
   const double costs[] = {1, 2, 2, 3, 4, 5, 5, 6, 7, 8};
   const double ps[] = {0.1, 0.3, 0.3, 0.2, 0.5, 0.45, 0.5, 0.6, 0.6, 0.9};
   for (int i = 0; i < 10; ++i)
-    points.push_back(make("d" + std::to_string(i), costs[i], ps[i]));
+    points.push_back(
+        make(std::string("d").append(std::to_string(i)), costs[i], ps[i]));
 
   const auto fast = pareto_frontier(points);
   const auto slow = brute_frontier(points);
@@ -117,7 +118,8 @@ TEST(Pareto, ArchiveInsertMatchesBatchFrontier) {
   const double costs[] = {4, 1, 6, 2, 5, 3, 7, 2, 8, 1};
   const double ps[] = {0.4, 0.15, 0.7, 0.1, 0.4, 0.35, 0.65, 0.2, 0.9, 0.15};
   for (int i = 0; i < 10; ++i)
-    points.push_back(make("p" + std::to_string(i), costs[i], ps[i]));
+    points.push_back(
+        make(std::string("p").append(std::to_string(i)), costs[i], ps[i]));
 
   std::vector<EvaluatedDesign> archive;
   for (const auto& point : points) archive_insert(archive, point);

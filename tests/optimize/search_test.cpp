@@ -1,7 +1,7 @@
 // Searcher contracts: branch-and-bound exactness (bound on == bound off ==
 // brute force), SA recovering the exact frontier on an enumerable space,
-// bit-identity of both searchers at any thread count, and the serial
-// BudgetFrontier::sweep_into matching the pooled sweep bit for bit.
+// bit-identity of both searchers at any thread count, and
+// BudgetFrontier::sweep_into matching the per-split model bit for bit.
 #include "optimize/search.h"
 
 #include <gtest/gtest.h>
@@ -162,27 +162,31 @@ TEST(Search, AnnealSeedChangesTrajectoryNotExactness) {
   }
 }
 
-TEST(Search, SweepIntoMatchesPooledSweepBitForBit) {
+TEST(Search, SweepIntoMatchesPerSplitModelBitForBit) {
   const auto objective = test_objective();
   const auto design = core::SosDesign::make(
       1000, 48, 3, 8, core::MappingPolicy::parse("one-to-five"),
       core::NodeDistribution::parse("decreasing"));
 
   const auto budget = objective.effective_budget();
-  const auto pooled =
-      core::BudgetFrontier::sweep(design, budget, objective.split_steps);
-
   core::SuccessiveEvaluator evaluator{design};
-  std::vector<core::BudgetSplit> serial;
+  std::vector<core::BudgetSplit> curve;
   core::BudgetFrontier::sweep_into(evaluator, budget, objective.split_steps,
-                                   serial);
+                                   curve);
 
-  ASSERT_EQ(pooled.size(), serial.size());
-  for (std::size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(pooled[i].fraction, serial[i].fraction);
-    EXPECT_EQ(pooled[i].break_in_budget, serial[i].break_in_budget);
-    EXPECT_EQ(pooled[i].congestion_budget, serial[i].congestion_budget);
-    EXPECT_EQ(pooled[i].p_success, serial[i].p_success);
+  ASSERT_EQ(curve.size(), static_cast<std::size_t>(objective.split_steps));
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    EXPECT_EQ(curve[i].fraction,
+              static_cast<double>(i) / (objective.split_steps - 1));
+    core::SuccessiveAttack attack;
+    attack.break_in_budget = curve[i].break_in_budget;
+    attack.congestion_budget = curve[i].congestion_budget;
+    attack.break_in_success = budget.break_in_success;
+    attack.prior_knowledge = budget.prior_knowledge;
+    attack.rounds = budget.rounds;
+    EXPECT_EQ(curve[i].p_success,
+              core::SuccessiveModel::p_success(design, attack))
+        << "split " << i;
   }
 }
 

@@ -73,9 +73,9 @@ TEST(SosOverlaySubstrate, CrashedNodesAreUnusableAndTallied) {
 
   EXPECT_FALSE(overlay.node_usable(members[0]));
   EXPECT_TRUE(overlay.node_usable(members[2]));  // lossy still routes
-  const auto tally = overlay.tally(0);
-  EXPECT_EQ(tally.crashed, 2);
+  EXPECT_EQ(overlay.substrate().crashed_count(), 2);
   // Crashes are orthogonal to the attack buckets.
+  const auto tally = overlay.tally(0);
   EXPECT_EQ(tally.good + tally.broken + tally.congested, 20);
 }
 
